@@ -39,12 +39,11 @@ N_POINTS = 60_000
 SEED = 3
 NUM_WORKERS = 4
 
-#: The measured matrix: serial/pickled is the reference; threads and
-#: processes run the zero-copy plane (their speedup case); processes
-#: is also measured with pickled splits to isolate the plane's win.
+#: The measured matrix: serial/pickled is the reference; processes runs
+#: the zero-copy plane (its speedup case) and is also measured with
+#: pickled splits to isolate the plane's win.
 CELLS = (
     ("serial", "pickled"),
-    ("threads", "shared"),
     ("processes", "pickled"),
     ("processes", "shared"),
 )

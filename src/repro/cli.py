@@ -45,9 +45,8 @@ import sys
 
 from repro.core.config import CHECKPOINT_DIR_ENV, RESUME_ENV
 from repro.evaluation.registry import ABLATIONS, DESCRIPTIONS, EXPERIMENTS
+from repro.mapreduce.dataplane import DATA_PLANE_ENV, DATA_PLANE_KINDS
 from repro.mapreduce.executors import (
-    DATA_PLANE_ENV,
-    DATA_PLANE_KINDS,
     EXECUTOR_ENV,
     EXECUTOR_KINDS,
     MAX_JOB_RETRIES_ENV,
@@ -548,7 +547,7 @@ def _global_options() -> argparse.ArgumentParser:
         "--num-workers",
         type=int,
         metavar="N",
-        help="worker count for the threads/processes backends "
+        help="worker count for the processes backend "
         "(default: $REPRO_NUM_WORKERS or one per CPU)",
     )
     parent.add_argument(

@@ -105,15 +105,13 @@ def build_world(
         reduce_slots_per_node=reduce_slots_per_node,
         task_heap_mb=task_heap_mb,
     )
-    if executor is None and num_workers is None and data_plane is None:
+    if executor is None and num_workers is None:
         config = None  # defer to REPRO_EXECUTOR / REPRO_NUM_WORKERS
     else:
         base = RuntimeConfig.from_env()
         config = RuntimeConfig(
             executor=executor or base.executor,
             num_workers=num_workers if num_workers is not None else base.num_workers,
-            data_plane=data_plane if data_plane is not None else base.data_plane,
-            dispatch=base.dispatch,
         )
     runtime = MapReduceRuntime(
         dfs,

@@ -29,7 +29,6 @@ from repro.mapreduce.executors import (
     RuntimeConfig,
     SerialExecutor,
     TaskExecutor,
-    ThreadPoolTaskExecutor,
     create_executor,
     shutdown_shared_pools,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "RuntimeConfig",
     "TaskExecutor",
     "SerialExecutor",
-    "ThreadPoolTaskExecutor",
     "ProcessPoolTaskExecutor",
     "create_executor",
     "shutdown_shared_pools",

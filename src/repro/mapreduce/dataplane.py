@@ -8,8 +8,8 @@ communication overhead that left the ``processes`` backend slower than
 :mod:`multiprocessing.shared_memory` segment instead and ships only a
 tiny :class:`SharedBlock` handle (segment name, dtype, shape); workers
 map the segment by name — one ``mmap`` the first time, zero copies ever
-after — while the ``serial`` and ``threads`` backends read the owner's
-mapping directly.
+after — while the ``serial`` backend reads the owner's mapping
+directly.
 
 Determinism contract: segment names never enter results, counters or
 journals; resolving a handle yields a read-only view of the exact bytes

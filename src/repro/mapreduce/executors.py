@@ -5,12 +5,14 @@ serially in one Python process. The paper's iterations are
 embarrassingly parallel across splits and clusters, so the runtime now
 delegates task execution to a :class:`TaskExecutor` backend:
 
-* ``serial`` — the original in-process loop (default);
-* ``threads`` — a shared :class:`concurrent.futures.ThreadPoolExecutor`
-  (wins when mappers spend their time in GIL-releasing numpy kernels);
+* ``serial`` — the original in-process loop (default, and the
+  reference every other backend must match byte for byte);
 * ``processes`` — a shared
   :class:`concurrent.futures.ProcessPoolExecutor` (true CPU
-  parallelism; jobs, contexts and task results must be picklable).
+  parallelism, like Hadoop's task-per-JVM model; jobs, contexts and
+  task results must be picklable). A phase's tasks go to the pool in
+  *waves*: one striped batch per worker, so a phase costs one pickle
+  round-trip per worker instead of one per task.
 
 Determinism contract
 --------------------
@@ -45,7 +47,6 @@ from concurrent.futures import (
     BrokenExecutor,
     Executor,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from dataclasses import dataclass
@@ -55,24 +56,13 @@ import numpy as np
 
 from repro.common.errors import ConfigurationError
 from repro.mapreduce.counters import Counters, MRCounter, framework
-from repro.mapreduce.dataplane import (
-    DATA_PLANE_ENV,
-    DATA_PLANE_KINDS,
-    resolve_data_plane,
-)
 from repro.mapreduce.hdfs import Split
 from repro.mapreduce.job import MapContext, Mapper, ReduceContext, Reducer
 from repro.mapreduce.shuffle import group_by_key, run_combiner, sorted_keys
 from repro.observability.profiling import task_profiler
 
 #: Recognised backend names, in documentation order.
-EXECUTOR_KINDS = ("serial", "threads", "processes")
-
-#: Recognised dispatch strategies for the pool backends: ``wave``
-#: stripes a phase's tasks into one batch submission per worker (one
-#: pickle round-trip per worker per phase); ``task`` is the historical
-#: one-submission-per-task sliding window.
-DISPATCH_KINDS = ("wave", "task")
+EXECUTOR_KINDS = ("serial", "processes")
 
 #: Environment variables consulted by :meth:`RuntimeConfig.from_env`
 #: (and therefore by every runtime constructed without an explicit
@@ -81,7 +71,6 @@ EXECUTOR_ENV = "REPRO_EXECUTOR"
 NUM_WORKERS_ENV = "REPRO_NUM_WORKERS"
 MAX_JOB_RETRIES_ENV = "REPRO_MAX_JOB_RETRIES"
 RETRY_BACKOFF_ENV = "REPRO_RETRY_BACKOFF"
-DISPATCH_ENV = "REPRO_DISPATCH"
 
 
 def default_num_workers() -> int:
@@ -93,10 +82,12 @@ def default_num_workers() -> int:
 class RuntimeConfig:
     """Execution-backend selection for :class:`MapReduceRuntime`.
 
-    ``executor`` picks the backend (``serial``/``threads``/
-    ``processes``); ``num_workers`` bounds backend concurrency (``None``
-    means one worker per CPU). Worker counts never affect results —
-    only wall-clock time.
+    ``executor`` picks the backend (``serial``/``processes``);
+    ``num_workers`` bounds backend concurrency (``None`` means one
+    worker per CPU). Worker counts never affect results — only
+    wall-clock time. How record blocks reach workers is not a runtime
+    setting: the DFS decides it when a file is written (see
+    ``InMemoryDFS(data_plane=...)``).
 
     ``max_job_retries`` re-executes a whole job that failed permanently
     (a task out of attempts, an unavailable split) up to that many extra
@@ -105,14 +96,6 @@ class RuntimeConfig:
     up to ``retry_jitter`` of the delay) charged to simulated time.
     Re-executions re-use the failed attempt's task seeds, so retries —
     like every other fault feature — perturb time, never results.
-
-    ``data_plane`` selects how record blocks reach workers: ``pickled``
-    ships them by value, ``shared`` maps them from shared-memory
-    segments (see :mod:`repro.mapreduce.dataplane`); ``None`` defers to
-    ``$REPRO_DATA_PLANE``. ``dispatch`` selects pool submission
-    granularity: ``wave`` (default) stripes a phase into one batch per
-    worker, ``task`` submits every task individually. Both knobs trade
-    communication cost only — results are byte-identical either way.
     """
 
     executor: str = "serial"
@@ -121,22 +104,11 @@ class RuntimeConfig:
     retry_backoff_seconds: float = 30.0
     retry_backoff_factor: float = 2.0
     retry_jitter: float = 0.1
-    data_plane: "str | None" = None
-    dispatch: str = "wave"
 
     def __post_init__(self) -> None:
         if self.executor not in EXECUTOR_KINDS:
             raise ConfigurationError(
                 f"executor must be one of {EXECUTOR_KINDS}, got {self.executor!r}"
-            )
-        if self.data_plane is not None and self.data_plane not in DATA_PLANE_KINDS:
-            raise ConfigurationError(
-                f"data_plane must be one of {DATA_PLANE_KINDS}, "
-                f"got {self.data_plane!r}"
-            )
-        if self.dispatch not in DISPATCH_KINDS:
-            raise ConfigurationError(
-                f"dispatch must be one of {DISPATCH_KINDS}, got {self.dispatch!r}"
             )
         if self.num_workers is not None and self.num_workers < 1:
             raise ConfigurationError(
@@ -159,20 +131,16 @@ class RuntimeConfig:
                 f"retry_jitter must be in [0, 1], got {self.retry_jitter}"
             )
 
-    @property
-    def effective_data_plane(self) -> str:
-        """The plane actually in force: explicit, else env, else pickled
-        — with the shared→pickled platform fallback applied."""
-        return resolve_data_plane(self.data_plane)
-
     @classmethod
     def from_env(cls, environ: "Mapping[str, str] | None" = None) -> "RuntimeConfig":
-        """Build a config from ``REPRO_EXECUTOR`` / ``REPRO_NUM_WORKERS``
-        / ``REPRO_MAX_JOB_RETRIES`` / ``REPRO_RETRY_BACKOFF``.
+        """Build a config from the environment.
 
-        Unset or empty variables fall back to the defaults, so code that
-        constructs a runtime without an explicit config keeps its
-        historical serial, no-retry behaviour.
+        It reads exactly four variables: ``REPRO_EXECUTOR`` (backend),
+        ``REPRO_NUM_WORKERS`` (worker count), ``REPRO_MAX_JOB_RETRIES``
+        (job re-executions) and ``REPRO_RETRY_BACKOFF`` (base backoff
+        seconds). Unset or empty variables fall back to the defaults, so
+        code that constructs a runtime without an explicit config keeps
+        its historical serial, no-retry behaviour.
         """
         env = os.environ if environ is None else environ
         kind = (env.get(EXECUTOR_ENV) or "serial").strip() or "serial"
@@ -207,8 +175,6 @@ class RuntimeConfig:
             num_workers=workers,
             max_job_retries=_int(MAX_JOB_RETRIES_ENV, 0),
             retry_backoff_seconds=backoff,
-            data_plane=(env.get(DATA_PLANE_ENV) or "").strip() or None,
-            dispatch=(env.get(DISPATCH_ENV) or "wave").strip() or "wave",
         )
 
 
@@ -257,7 +223,7 @@ class TaskResult:
     """What a task sends back to the runtime for index-ordered merging.
 
     ``wall_seconds`` is the real time the task body took *wherever it
-    ran* (inline, worker thread or worker process) — the run journal's
+    ran* (inline or in a worker process) — the run journal's
     per-task wall timing. ``cpu_seconds`` is populated only when the
     spec asked for profiling, ``peak_memory_bytes`` only when the spec
     was additionally memory-sampled (``None`` otherwise). All three are
@@ -370,11 +336,11 @@ def unwrap(outcome: "TaskResult | TaskFailure") -> TaskResult:
 def _run_spec_batch(fn: Callable, specs: Sequence) -> list:
     """Run a whole stripe of specs in one worker, outcomes in order.
 
-    The unit of wave dispatch: the process backend pays one submission
-    (one spec-batch pickle out, one result-batch pickle back) per
-    *worker* per phase instead of per task. Failures are captured per
-    spec, exactly as in per-task dispatch, so index-ordered unwrapping
-    behaves identically.
+    The unit of wave submission: the process backend pays one
+    submission (one spec-batch pickle out, one result-batch pickle
+    back) per *worker* per phase instead of per task. Failures are
+    captured per spec, so index-ordered unwrapping behaves exactly as
+    under ``serial``.
     """
     return [_guarded(fn, spec) for spec in specs]
 
@@ -437,30 +403,23 @@ class SerialExecutor:
 
 
 class _PoolBackedExecutor:
-    """Shared machinery of the thread and process backends.
+    """Pool submission machinery of the process backend.
 
-    Pools are shared per ``(kind, num_workers)`` across runtimes (see
+    Pools are shared per worker count across runtimes (see
     :func:`_shared_pool`): tests and chained drivers construct many
     runtimes, and paying pool start-up per runtime would drown the
     speedup the pool exists to provide.
     """
 
-    name = "pool"
-
-    def __init__(self, num_workers: "int | None" = None, dispatch: str = "wave"):
+    def __init__(self, num_workers: "int | None" = None):
         if num_workers is not None and num_workers < 1:
             raise ConfigurationError(
                 f"num_workers must be >= 1, got {num_workers}"
             )
-        if dispatch not in DISPATCH_KINDS:
-            raise ConfigurationError(
-                f"dispatch must be one of {DISPATCH_KINDS}, got {dispatch!r}"
-            )
         self.num_workers = num_workers or default_num_workers()
-        self.dispatch = dispatch
 
     def _pool(self) -> Executor:
-        return _shared_pool(self.name, self.num_workers)
+        return _shared_pool(self.num_workers)
 
     def run_tasks(
         self,
@@ -483,16 +442,15 @@ class _PoolBackedExecutor:
                 if on_result is not None:
                     on_result(len(outcomes))
             return outcomes
-        run = self._run_waves if self.dispatch == "wave" else self._run_on_pool
         try:
-            return run(self._pool(), fn, specs, limit, on_result)
+            return self._run_waves(self._pool(), fn, specs, limit, on_result)
         except BrokenExecutor:
             # A dead worker (OOM-killed, crashed interpreter) poisons a
             # pool permanently. Tasks are pure functions of their spec,
             # so rebuilding the pool and rerunning the batch is safe —
             # and deterministic, because results merge by index.
-            _discard_shared_pool(self.name, self.num_workers)
-            return run(self._pool(), fn, specs, limit, on_result)
+            _discard_shared_pool(self.num_workers)
+            return self._run_waves(self._pool(), fn, specs, limit, on_result)
 
     @staticmethod
     def _run_waves(
@@ -530,48 +488,8 @@ class _PoolBackedExecutor:
                     on_result(completed)
         return results
 
-    @staticmethod
-    def _run_on_pool(
-        pool: Executor,
-        fn: Callable,
-        specs: list,
-        limit: int,
-        on_result: "Callable[[int], None] | None" = None,
-    ) -> list:
-        results: list = [None] * len(specs)
-        pending: dict = {}
-        next_index = 0
-        completed = 0
-        # Sliding window: at most `limit` tasks in flight, yet results
-        # land at their spec's index, so merge order is deterministic.
-        while next_index < len(specs) or pending:
-            while next_index < len(specs) and len(pending) < limit:
-                future = pool.submit(_guarded, fn, specs[next_index])
-                pending[future] = next_index
-                next_index += 1
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                results[pending.pop(future)] = future.result()
-                completed += 1
-                if on_result is not None:
-                    # Progress ticks fire from the submitting thread, in
-                    # completion order — they carry only a count, never
-                    # a result, so determinism is untouched.
-                    on_result(completed)
-        return results
-
     def close(self) -> None:
         """Backends share pools; nothing per-instance to release."""
-
-
-class ThreadPoolTaskExecutor(_PoolBackedExecutor):
-    """Tasks run on a shared thread pool.
-
-    Task state is per-task (own context, counters, RNG), so the only
-    shared object a task touches is the read-only job config.
-    """
-
-    name = "threads"
 
 
 class ProcessPoolTaskExecutor(_PoolBackedExecutor):
@@ -590,22 +508,16 @@ def create_executor(config: RuntimeConfig) -> TaskExecutor:
     """Instantiate the backend selected by ``config``."""
     if config.executor == "serial":
         return SerialExecutor()
-    if config.executor == "threads":
-        return ThreadPoolTaskExecutor(config.num_workers, config.dispatch)
-    return ProcessPoolTaskExecutor(config.num_workers, config.dispatch)
+    return ProcessPoolTaskExecutor(config.num_workers)
 
 
 # -- shared pools -------------------------------------------------------
 
-_POOLS: "dict[tuple[str, int], Executor]" = {}
+_POOLS: "dict[int, Executor]" = {}
 _POOLS_LOCK = threading.Lock()
 
 
-def _make_pool(kind: str, num_workers: int) -> Executor:
-    if kind == "threads":
-        return ThreadPoolExecutor(
-            max_workers=num_workers, thread_name_prefix="repro-task"
-        )
+def _make_pool(num_workers: int) -> Executor:
     import multiprocessing
 
     # Prefer fork where the platform offers it: workers inherit loaded
@@ -615,21 +527,21 @@ def _make_pool(kind: str, num_workers: int) -> Executor:
     return ProcessPoolExecutor(max_workers=num_workers, mp_context=context)
 
 
-def _shared_pool(kind: str, num_workers: int) -> Executor:
-    """Get-or-create the process-wide pool for ``(kind, num_workers)``."""
-    key = (kind, int(num_workers))
+def _shared_pool(num_workers: int) -> Executor:
+    """Get-or-create the process-wide pool of ``num_workers`` workers."""
+    key = int(num_workers)
     with _POOLS_LOCK:
         pool = _POOLS.get(key)
         if pool is None:
-            pool = _make_pool(kind, int(num_workers))
+            pool = _make_pool(key)
             _POOLS[key] = pool
         return pool
 
 
-def _discard_shared_pool(kind: str, num_workers: int) -> None:
+def _discard_shared_pool(num_workers: int) -> None:
     """Drop a (broken) shared pool so the next use builds a fresh one."""
     with _POOLS_LOCK:
-        pool = _POOLS.pop((kind, int(num_workers)), None)
+        pool = _POOLS.pop(int(num_workers), None)
     if pool is not None:
         pool.shutdown(wait=False, cancel_futures=True)
 

@@ -13,9 +13,9 @@ deterministic).
 Concurrency contract: the fault stream is a single sequential RNG, so
 the runtime applies the model in the *submitting* process only, in
 task-index order, after the parallel task executor has returned —
-never inside worker threads or processes. That keeps retry and
-speculative-execution bookkeeping thread-safe and byte-identical
-across the serial, thread and process backends.
+never inside worker processes. That keeps retry and
+speculative-execution bookkeeping byte-identical across the serial and
+process backends.
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ Semantics follow Hadoop 1.x:
 
 Task execution is delegated to a pluggable backend
 (:mod:`repro.mapreduce.executors`): map and reduce tasks within a phase
-are independent, so the ``threads`` and ``processes`` backends run them
-concurrently, bounded by the cluster's map/reduce slots.
+are independent, so the ``processes`` backend runs them concurrently,
+bounded by the cluster's map/reduce slots.
 
 The runtime is deterministic *across backends*: task RNGs are spawned
 from the runtime RNG by task index (never completion order), task

@@ -169,14 +169,15 @@ def run_workload(
     split_bytes = target_split_bytes(
         spec.n_points, spec.dimensions, target_splits
     )
-    # The executor/data-plane/dispatch axes only matter to wall clock;
-    # the baseline follows the environment (so the whole grid can be
-    # re-run per backend to prove byte-identity) and a flip pins the
-    # one knob it names.
+    # The executor and data-plane axes only matter to wall clock; the
+    # baseline follows the environment (so the whole grid can be re-run
+    # per backend to prove byte-identity) and a flip pins the one knob
+    # it names. The plane is the DFS's choice, made at write time.
     env_config = RuntimeConfig.from_env()
     executor = str(config_over.get("executor", env_config.executor))
-    data_plane = config_over.get("data_plane", env_config.data_plane)
-    dfs = InMemoryDFS(split_size_bytes=split_bytes, data_plane=data_plane)
+    dfs = InMemoryDFS(
+        split_size_bytes=split_bytes, data_plane=config_over.get("data_plane")
+    )
     dataset = write_points(dfs, spec.name, mixture.points)
     cluster = ClusterConfig(
         nodes=spec.nodes,
@@ -199,8 +200,6 @@ def run_workload(
         executor=executor,
         num_workers=num_workers,
         max_job_retries=spec.max_job_retries,
-        data_plane=data_plane,
-        dispatch=str(config_over.get("dispatch", env_config.dispatch)),
     )
     cost = replace(
         BENCH_COST,
@@ -577,7 +576,7 @@ def render_importance(report: ImportanceReport) -> str:
             "",
             "## Infrastructure flips (determinism contract)",
             "",
-            "Executor, dispatch and data-plane choices must not move a "
+            "Executor and data-plane choices must not move a "
             "simulated metric; the engine asserts it per flip:",
             "",
         ]

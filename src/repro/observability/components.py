@@ -195,16 +195,7 @@ MANIFEST: "tuple[Component, ...]" = (
         layer="infrastructure",
         target="config.executor",
         baseline="serial",
-        flips=("threads", "processes"),
-    ),
-    Component(
-        name="dispatch",
-        description="wave vs per-task dispatch to the executor "
-        "(wall-clock only)",
-        layer="infrastructure",
-        target="config.dispatch",
-        baseline="wave",
-        flips=("task",),
+        flips=("processes",),
     ),
     Component(
         name="data_plane",

@@ -25,8 +25,8 @@ Journal emission happens in the submitting process only, in the same
 deterministic order on every backend, and never touches an RNG stream:
 
 * results are byte-identical with the journal on or off;
-* journals recorded on the ``serial``, ``threads`` and ``processes``
-  backends are identical *modulo wall-clock fields* — every
+* journals recorded on the ``serial`` and ``processes`` backends are
+  identical *modulo wall-clock fields* — every
   nondeterministic value lives in a key starting with ``wall``, and
   :func:`canonical_records` strips exactly those keys.
 

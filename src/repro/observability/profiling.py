@@ -25,8 +25,7 @@ prefix, so canonical journals stay byte-identical with profiling on or
 off.
 
 ``tracemalloc`` state is process-global, so memory-traced task bodies
-are serialised by a lock: under the ``threads`` backend the sampled
-tasks cost parallelism (CPU-only profiling does not take the lock;
+are serialised by a lock (CPU-only profiling does not take it;
 ``processes`` workers trace independently).
 """
 

@@ -99,5 +99,9 @@ def test_resume_accepts_explicit_checkpoint_after_command():
     args = build_parser().parse_args(["list", "--resume", "ck/iter-00007"])
     assert args.resume == "ck/iter-00007"
     # Flags in front of the subcommand survive the subparser pass.
-    args = build_parser().parse_args(["--executor", "threads", "list"])
-    assert args.executor == "threads"
+    args = build_parser().parse_args(["--executor", "processes", "list"])
+    assert args.executor == "processes"
+    # The removed threads backend is a usage error, not a silent no-op.
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(["--executor", "threads", "list"])
+    assert excinfo.value.code == 2

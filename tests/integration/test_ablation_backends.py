@@ -16,7 +16,7 @@ from repro.observability.ablate import (
 )
 from repro.observability.tune import default_tune_spec, run_tune
 
-BACKENDS = ("serial", "threads", "processes")
+BACKENDS = ("serial", "processes")
 
 SPEC = WorkloadSpec(n_points=500)
 
@@ -41,11 +41,11 @@ def test_ablation_report_byte_identical_across_backends(
 def test_tune_report_identical_across_backends(monkeypatch):
     spec = default_tune_spec(n_points=1200)
     results = {}
-    for backend in ("serial", "threads"):
+    for backend in BACKENDS:
         monkeypatch.setenv("REPRO_EXECUTOR", backend)
         report = run_tune(spec, top_n=2)
         results[backend] = json.dumps(report.as_dict(), sort_keys=True)
-    assert results["serial"] == results["threads"]
+    assert results["serial"] == results["processes"]
     assert json.loads(results["serial"])["ok"]
 
 
@@ -54,11 +54,7 @@ def test_full_grid_infrastructure_rows_confirm_invariance():
     flip in a full grid reports invariant_ok with all-zero deltas."""
     report = run_ablation(SPEC)
     infra = [v for v in report.variants if v.simulated_invariant]
-    assert {v.component for v in infra} == {
-        "executor",
-        "dispatch",
-        "data_plane",
-    }
+    assert {v.component for v in infra} == {"executor", "data_plane"}
     for v in infra:
         assert v.invariant_ok, v.component
         assert v.delta_makespan == 0.0

@@ -68,11 +68,12 @@ SPEC = (
 INJECTED = {STRAGGLER_ONSET, FAULT_STORM, HEAP_BREACH_PREDICTED}
 
 
-def chaos_world(journal, dfs=None, config=None):
+def chaos_world(journal, dfs=None, config=None, data_plane=None):
     if dfs is None:
         dfs = InMemoryDFS(
             split_size_bytes=4096,
             fault_model=BlockFaultModel(replica_loss_probability=0.02, seed=3),
+            data_plane=data_plane,
         )
         write_points(dfs, "points", MIXTURE.points)
     runtime = MapReduceRuntime(
@@ -142,26 +143,26 @@ def test_armed_chaos_journal_is_canonical_across_backends_and_planes():
     journals = {}
     for backend, plane in [
         ("serial", "pickled"),
-        ("threads", "pickled"),
         ("processes", "pickled"),
         ("processes", "shared"),
     ]:
         sink = InMemoryJournalSink()
         journal, tee, _state = armed_journal(sink)
-        _dfs, runtime = chaos_world(
+        dfs, runtime = chaos_world(
             journal,
             config=RuntimeConfig(
                 executor=backend,
                 num_workers=3,
-                data_plane=plane,
                 max_job_retries=20,
                 retry_backoff_seconds=5.0,
             ),
+            data_plane=plane,
         )
         key = f"{backend}/{plane}"
         results[key] = signature(
             MRGMeans(runtime, MRGMeansConfig(**CONFIG)).fit("points")
         )
+        dfs.release()
         journal.close()
         assert tee.anomaly.fired, f"{key}: detectors must fire"
         journals[key] = canonical_records(sink.records)

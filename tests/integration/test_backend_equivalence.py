@@ -32,7 +32,7 @@ from repro.observability.journal import (
 from repro.observability.live import TelemetrySink
 from repro.observability.slo import SLOWatchdog, parse_slo_rules
 
-BACKENDS = ("serial", "threads", "processes")
+BACKENDS = ("serial", "processes")
 PLANES = ("pickled", "shared")
 MATRIX = [(b, p) for b in BACKENDS for p in PLANES]
 SEEDS = (1, 7, 23)
@@ -106,7 +106,7 @@ def test_gmeans_identical_across_backends(seed):
 
 
 def test_gmeans_identical_across_backend_plane_matrix():
-    """All six (backend × data plane) cells produce the same bytes.
+    """All four (backend × data plane) cells produce the same bytes.
 
     The zero-copy plane changes *where* split arrays live, never what
     the tasks compute from them — serial reads the owner's buffers
@@ -158,7 +158,7 @@ def test_journal_canonical_form_identical_across_matrix():
     clock.
 
     Everything nondeterministic in a journal lives in ``wall*`` keys;
-    after stripping them all six (backend × data plane) cells must have
+    after stripping them all four (backend × data plane) cells must have
     recorded the exact same sequence of spans, tasks and events — the
     data plane is invisible to the journal, not just to the results.
     """

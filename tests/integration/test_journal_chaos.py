@@ -193,7 +193,7 @@ def test_chaos_critical_path_reconciles_across_backend_plane_matrix():
     from repro.observability.critical import critical_path
 
     paths = {}
-    for backend in ("serial", "threads", "processes"):
+    for backend in ("serial", "processes"):
         for plane in ("pickled", "shared"):
             sink = InMemoryJournalSink()
             dfs, runtime = chaos_world(

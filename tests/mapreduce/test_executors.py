@@ -1,4 +1,4 @@
-"""Executor backends: byte-identical results across serial/threads/processes."""
+"""Executor backends: byte-identical results across serial/processes."""
 
 import os
 import pickle
@@ -17,7 +17,6 @@ from repro.mapreduce.executors import (
     RuntimeConfig,
     SerialExecutor,
     TaskExecutor,
-    ThreadPoolTaskExecutor,
     create_executor,
 )
 from repro.mapreduce.faults import FaultModel
@@ -66,8 +65,8 @@ def run_kmeans(
     backend: str,
     faults: "FaultModel | None" = None,
     seed=123,
-    dispatch="wave",
     data_plane=None,
+    num_workers=4,
 ):
     from repro.data.loader import write_points
     from repro.data.textio import bytes_per_record
@@ -83,9 +82,7 @@ def run_kmeans(
         cluster=ClusterConfig(nodes=2),
         rng=seed,
         faults=faults,
-        config=RuntimeConfig(
-            executor=backend, num_workers=4, dispatch=dispatch
-        ),
+        config=RuntimeConfig(executor=backend, num_workers=num_workers),
     )
     centers = points[:4].copy()
     job = make_kmeans_job(centers, num_reduce_tasks=4)
@@ -94,7 +91,7 @@ def run_kmeans(
     return result
 
 
-@pytest.mark.parametrize("backend", ["threads", "processes"])
+@pytest.mark.parametrize("backend", ["processes"])
 def test_kmeans_byte_identical_to_serial(backend):
     serial, centers = run_kmeans("serial")
     other, _ = run_kmeans(backend)
@@ -105,28 +102,21 @@ def test_kmeans_byte_identical_to_serial(backend):
     assert ours.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("backend", ["threads", "processes"])
-def test_wave_and_task_dispatch_byte_identical(backend):
-    """Batched per-worker wave dispatch is a pure scheduling change:
-    the strided stripes must reassemble into the exact task order."""
-    serial, _ = run_kmeans("serial")
-    for dispatch in ("wave", "task"):
-        other, _ = run_kmeans(backend, dispatch=dispatch)
-        assert fingerprint(other) == fingerprint(serial), dispatch
+@pytest.mark.parametrize("plane", ["pickled", "shared"])
+def test_processes_byte_identical_across_planes(plane):
+    """Wave submission is a pure scheduling change on either plane.
+
+    Three workers over 8 map and 4 reduce tasks: neither phase divides
+    evenly, so the strided stripes are uneven and must still reassemble
+    into the exact task order.
+    """
+    serial, _ = run_kmeans("serial", data_plane="pickled")
+    other, _ = run_kmeans("processes", data_plane=plane, num_workers=3)
+    assert other.num_map_tasks % 3 and other.num_reduce_tasks % 3
+    assert fingerprint(other) == fingerprint(serial)
 
 
-@pytest.mark.parametrize("backend", ["threads", "processes"])
-def test_shared_plane_byte_identical_across_dispatch(backend):
-    """Zero-copy splits × both dispatch modes still match serial."""
-    serial, _ = run_kmeans("serial")
-    for dispatch in ("wave", "task"):
-        other, _ = run_kmeans(
-            backend, dispatch=dispatch, data_plane="shared"
-        )
-        assert fingerprint(other) == fingerprint(serial), dispatch
-
-
-@pytest.mark.parametrize("backend", ["threads", "processes"])
+@pytest.mark.parametrize("backend", ["processes"])
 def test_kmeans_byte_identical_under_faults(backend):
     faults = FaultModel(
         task_failure_probability=0.3,
@@ -163,7 +153,7 @@ def run_seeded(backend: str, seed=7):
     return runtime.run(job, f)
 
 
-@pytest.mark.parametrize("backend", ["threads", "processes"])
+@pytest.mark.parametrize("backend", ["processes"])
 def test_per_task_rng_independent_of_schedule(backend):
     assert fingerprint(run_seeded(backend)) == fingerprint(run_seeded("serial"))
 
@@ -218,38 +208,29 @@ def test_runtime_config_rejects_bad_worker_count():
 
 
 def test_runtime_config_from_env():
-    env = {EXECUTOR_ENV: "threads", NUM_WORKERS_ENV: "5"}
+    env = {EXECUTOR_ENV: "processes", NUM_WORKERS_ENV: "5"}
     config = RuntimeConfig.from_env(env)
-    assert config == RuntimeConfig(executor="threads", num_workers=5)
+    assert config == RuntimeConfig(executor="processes", num_workers=5)
     assert RuntimeConfig.from_env({}) == RuntimeConfig()
     with pytest.raises(ConfigurationError):
         RuntimeConfig.from_env({NUM_WORKERS_ENV: "four"})
 
 
-def test_runtime_config_dispatch_and_data_plane(monkeypatch):
-    from repro.mapreduce.executors import DATA_PLANE_ENV, DISPATCH_ENV
-
-    monkeypatch.delenv(DATA_PLANE_ENV, raising=False)
-    assert RuntimeConfig().dispatch == "wave"
-    assert RuntimeConfig().data_plane is None
-    assert RuntimeConfig().effective_data_plane == "pickled"
-    config = RuntimeConfig.from_env(
-        {DISPATCH_ENV: "task", DATA_PLANE_ENV: "shared"}
-    )
-    assert config.dispatch == "task"
-    assert config.data_plane == "shared"
-    with pytest.raises(ConfigurationError):
-        RuntimeConfig(dispatch="bulk")
-    with pytest.raises(ConfigurationError):
-        RuntimeConfig(data_plane="mmap")
+def test_runtime_config_rejects_removed_settings():
+    """The threads backend, the dispatch mode and the runtime-level data
+    plane are gone: asking for them fails loudly, never silently."""
+    assert EXECUTOR_KINDS == ("serial", "processes")
+    with pytest.raises(ConfigurationError, match=r"\('serial', 'processes'\)"):
+        RuntimeConfig(executor="threads")
+    with pytest.raises(ConfigurationError, match=r"\('serial', 'processes'\)"):
+        RuntimeConfig.from_env({EXECUTOR_ENV: "threads"})
+    for removed in ("dispatch", "data_plane"):
+        with pytest.raises(TypeError):
+            RuntimeConfig(**{removed: None})
 
 
 def test_create_executor_kinds():
     assert isinstance(create_executor(RuntimeConfig()), SerialExecutor)
-    assert isinstance(
-        create_executor(RuntimeConfig(executor="threads")),
-        ThreadPoolTaskExecutor,
-    )
     assert isinstance(
         create_executor(RuntimeConfig(executor="processes")),
         ProcessPoolTaskExecutor,
@@ -262,15 +243,15 @@ def test_create_executor_kinds():
 
 def test_runtime_accepts_backend_name_string():
     dfs = InMemoryDFS(split_size_bytes=16)
-    with MapReduceRuntime(dfs, config="threads") as runtime:
-        assert runtime.executor.name == "threads"
+    with MapReduceRuntime(dfs, config="processes") as runtime:
+        assert runtime.executor.name == "processes"
 
 
 def test_runtime_reads_environment(monkeypatch):
-    monkeypatch.setenv(EXECUTOR_ENV, "threads")
+    monkeypatch.setenv(EXECUTOR_ENV, "processes")
     monkeypatch.setenv(NUM_WORKERS_ENV, "2")
     runtime = MapReduceRuntime(InMemoryDFS(split_size_bytes=16))
-    assert runtime.executor.name == "threads"
+    assert runtime.executor.name == "processes"
     assert runtime.executor.num_workers == 2
 
 

@@ -265,7 +265,7 @@ def test_validation():
 # task-index order, so which task dies — and every fault counter — must
 # not depend on the executor backend.
 
-BACKENDS = ("serial", "threads", "processes")
+BACKENDS = ("serial", "processes")
 
 
 def run_job_on_backend(backend, faults, seed=3):

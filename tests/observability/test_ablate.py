@@ -123,8 +123,8 @@ def test_infrastructure_flip_must_be_simulated_invariant():
     same = metrics_from_replay(scripted_run(25.0, 1000, 2.0, 500))
     drifted = metrics_from_replay(scripted_run(25.0, 1001, 2.0, 500))
     executor = component("executor")
-    assert score_variant(executor, "threads", "j", baseline, same).invariant_ok
-    violated = score_variant(executor, "threads", "j", baseline, drifted)
+    assert score_variant(executor, "processes", "j", baseline, same).invariant_ok
+    violated = score_variant(executor, "processes", "j", baseline, drifted)
     assert not violated.invariant_ok
     assert violated.delta_shuffle_bytes == 1
 

@@ -50,7 +50,7 @@ def test_infrastructure_components_are_simulated_invariant():
     by_layer = {
         comp.name: comp.simulated_invariant for comp in engine_components()
     }
-    assert by_layer["executor"] and by_layer["dispatch"] and by_layer["data_plane"]
+    assert by_layer["executor"] and by_layer["data_plane"]
     assert not by_layer["combiner"]
 
 

@@ -122,7 +122,7 @@ def _ablation_fixture() -> dict:
             },
             {
                 "component": "executor",
-                "label": "threads",
+                "label": "processes",
                 "delta_makespan": 0.0,
                 "delta_fraction": 0.0,
                 "simulated_invariant": True,
@@ -159,7 +159,7 @@ def test_dashboard_renders_ablation_and_tune_reports(rundir):
     )
     assert "## Ablations & tuning" in text
     assert "| 1 | combiner=off | +0.500 | +2.0% | - |" in text
-    assert "| 2 | executor=threads | +0.000 | +0.0% | ok |" in text
+    assert "| 2 | executor=processes | +0.000 | +0.0% | ok |" in text
     assert "winner: nodes=8, combiner=on, split_factor=1.0" in text
     assert "prediction error 0.0010 against the 0.02 budget (within)" in text
 

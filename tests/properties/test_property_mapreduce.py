@@ -101,7 +101,7 @@ class SeedUsingMapper(Mapper):
         max_size=25,
     ),
     st.integers(1, 6),
-    st.sampled_from(["threads", "processes"]),
+    st.just("processes"),
     st.integers(1, 4),
 )
 @settings(max_examples=20, deadline=None)

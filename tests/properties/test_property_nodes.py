@@ -22,7 +22,7 @@ from repro.observability.journal import (
     canonical_records,
 )
 
-BACKENDS = ("serial", "threads", "processes")
+BACKENDS = ("serial", "processes")
 PLANES = ("pickled", "shared")
 
 
