@@ -20,9 +20,10 @@ Lifecycle: the creating process owns its segments (`create_block`) and
 must release them (`release_block` / the DFS ``delete``/``overwrite``/
 ``release`` hooks). Total replica loss releases a split's segment —
 the data is gone, the simulated cluster cannot read it back. Attached
-(worker-side) mappings are cached per name and dropped implicitly when
-the owner unlinks; POSIX keeps the mapping itself valid until the
-worker exits. An ``atexit`` hook releases whatever the owner leaked so
+(worker-side) mappings are cached per name. POSIX keeps a mapping valid
+after the owner unlinks its segment, so in-flight reads never break;
+the worker's next attach miss closes every cached mapping whose segment
+is gone. An ``atexit`` hook releases whatever the owner leaked so
 ``/dev/shm`` is never littered across runs; the resource-tracker
 workaround below keeps worker processes from unlinking segments the
 owner still needs (CPython < 3.13 tracks attachments too).
@@ -35,7 +36,7 @@ import os
 import secrets
 import threading
 from multiprocessing import resource_tracker, shared_memory
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -52,6 +53,9 @@ DATA_PLANE_ENV = "REPRO_DATA_PLANE"
 #: Prefix of every segment this process creates: leak checks scan
 #: ``/dev/shm`` for it, and it keeps our names clear of other tenants.
 SEGMENT_PREFIX = "repro-dp"
+
+#: Where Linux lists POSIX shared memory segments by name.
+_SHM_DIR = "/dev/shm"
 
 # Owner-side registry: segment name -> (SharedMemory, owner pid). The
 # pid guards fork()ed children (pool workers inherit this dict): only
@@ -216,6 +220,7 @@ def _segment_for(name: str) -> shared_memory.SharedMemory:
     with _LOCK:
         shm = _ATTACHED.get(name)
         if shm is None:
+            _drop_unlinked_attachments()
             try:
                 shm = _attach_untracked(name)
             except FileNotFoundError:
@@ -225,6 +230,26 @@ def _segment_for(name: str) -> shared_memory.SharedMemory:
                 ) from None
             _ATTACHED[name] = shm
     return shm
+
+
+def _drop_unlinked_attachments() -> None:
+    """Close cached attachments whose segment the owner has unlinked.
+
+    Runs on every attach miss (callers hold ``_LOCK``), so a pool worker
+    keeps only the segments of the data it reads now. An unlinked
+    segment has no ``/dev/shm`` entry; without ``/dev/shm`` the cache is
+    kept. A mapping a live view still exports stays until a later miss.
+    """
+    if not os.path.isdir(_SHM_DIR):  # pragma: no cover - non-Linux
+        return
+    for name, shm in list(_ATTACHED.items()):
+        if os.path.exists(os.path.join(_SHM_DIR, name)):
+            continue
+        try:
+            shm.close()
+        except BufferError:
+            continue
+        del _ATTACHED[name]
 
 
 def create_block(array: np.ndarray) -> SharedBlock:
@@ -299,15 +324,14 @@ def orphaned_system_segments() -> list[str]:
     process does not own. (Non-Linux platforms without ``/dev/shm``
     simply report nothing — the registry checks still apply.)
     """
-    shm_dir = "/dev/shm"
-    if not os.path.isdir(shm_dir):  # pragma: no cover - non-Linux
+    if not os.path.isdir(_SHM_DIR):  # pragma: no cover - non-Linux
         return []
     mine = f"{SEGMENT_PREFIX}-{os.getpid()}-"
     with _LOCK:
         owned = set(_OWNED)
     return sorted(
         entry
-        for entry in os.listdir(shm_dir)
+        for entry in os.listdir(_SHM_DIR)
         if entry.startswith(mine) and entry not in owned
     )
 
@@ -324,23 +348,6 @@ def release_all() -> int:
         if release_segment(name):
             released += 1
     return released
-
-
-def detach_all() -> None:
-    """Drop this process's cache of attached segments (tests only)."""
-    with _LOCK:
-        attached = list(_ATTACHED.values())
-        _ATTACHED.clear()
-    for shm in attached:
-        try:
-            shm.close()
-        except Exception:  # pragma: no cover - buffer still exported
-            pass
-
-
-def wrap_blocks(blocks: "Iterable[np.ndarray]") -> list[SharedBlock]:
-    """Copy each block into its own owned segment."""
-    return [create_block(block) for block in blocks]
 
 
 atexit.register(release_all)

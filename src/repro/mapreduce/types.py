@@ -68,8 +68,3 @@ def sizeof_value(value: object) -> int:
             sizeof_value(k) + sizeof_value(v) for k, v in value.items()
         )
     raise TypeError(f"cannot size value of type {type(value).__name__}")
-
-
-def record_count_of(value: object) -> int:
-    """Default logical record count of an emitted value (1 unless batched)."""
-    return 1

@@ -31,15 +31,15 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
-from repro.mapreduce.cluster import MIB
-from repro.mapreduce.costmodel import CostParameters, makespan
+from repro.mapreduce.cluster import MIB, ClusterConfig
+from repro.mapreduce.costmodel import CostModel, CostParameters, makespan
 from repro.mapreduce.counters import FRAMEWORK_GROUP, MRCounter
 from repro.observability.critical import (
     CriticalPath,
     critical_path,
     render_critical,
 )
-from repro.observability.replay import RunReplay, SpanNode
+from repro.observability.replay import NODE_STATUS, RunReplay, SpanNode
 
 #: Strategy names as journalled by ``strategy_decision`` events (kept
 #: local: the observability layer must not import :mod:`repro.core`).
@@ -568,6 +568,7 @@ def _node_sections(
     for event in events:
         attrs = event.attrs
         node_id = int(attrs.get("node", -1))
+        status[node_id] = NODE_STATUS[event.name]
         if event.name == "node_lost":
             deaths[node_id] = int(attrs.get("deaths", 0)) or (
                 deaths.get(node_id, 0) + 1
@@ -575,15 +576,12 @@ def _node_sections(
             blocks_lost[node_id] = blocks_lost.get(node_id, 0) + int(
                 attrs.get("blocks_lost", 0)
             )
-            status[node_id] = "dead"
         elif event.name == "node_recovered":
             recoveries[node_id] = int(attrs.get("recoveries", 0)) or (
                 recoveries.get(node_id, 0) + 1
             )
-            status[node_id] = "alive"
         elif event.name == "node_blacklisted":
             blacklisted[node_id] = True
-            status[node_id] = "blacklisted"
         timeline.append(
             CapacityPoint(
                 seq=event.seq,
@@ -616,6 +614,10 @@ def _node_sections(
 def _job_residual(
     job: SpanNode, params: CostParameters
 ) -> "JobResidual | None":
+    """Recorded vs predicted seconds of one job's phases: the LPT
+    makespan over each phase's journalled task durations, and the cost
+    model's shuffle time over the job's live node count. The in-flight
+    ``cost_model_drift`` detector reads the same numbers."""
     timing = job.get("timing") or {}
     if not timing:
         return None
@@ -637,8 +639,8 @@ def _job_residual(
     shuffle_recorded = float(timing.get("shuffle_seconds") or 0.0)
     shuffle_bytes = job.counters().get(FRAMEWORK_GROUP, MRCounter.SHUFFLE_BYTES)
     if nodes and (shuffle_recorded > 0 or shuffle_bytes > 0):
-        predicted = shuffle_bytes / (
-            params.network_mbps_per_node * int(nodes) * MIB
+        predicted = CostModel(params, ClusterConfig()).shuffle_seconds(
+            shuffle_bytes, nodes
         )
         phases.append(
             PhaseResidual(

@@ -50,22 +50,21 @@ the repo's exact-accounting contract rather than advisory log lines.
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass, fields
 
 from repro.common.errors import ConfigurationError
-from repro.mapreduce.cluster import MIB
-from repro.mapreduce.costmodel import CostParameters, makespan
-from repro.mapreduce.counters import Counters, FRAMEWORK_GROUP, MRCounter
-from repro.observability.analyze import DurationStats
+from repro.mapreduce.costmodel import CostParameters
+from repro.observability.analyze import DurationStats, _job_residual
 from repro.observability.journal import (
     EVENT,
     JOB,
     PHASE,
     SPAN_END,
     SPAN_START,
-    TASK,
     canonical_record,
 )
+from repro.observability.replay import RunReplay, SpanNode
 
 #: Environment variable carrying the anomaly-detector spec (the CLI's
 #: ``--anomaly`` flag writes it); unset/empty/off means detectors off.
@@ -239,132 +238,89 @@ def parse_anomaly_spec(spec: "str | None") -> "AnomalyConfig | None":
 class AnomalyDetectors:
     """The pure detection engine: journal records in, firings out.
 
-    :meth:`consume` folds one record into the detector state and
-    returns the anomaly attribute dicts that record triggers, in
-    evaluation order. The engine holds no journal reference and emits
-    nothing itself — the same instance class drives both the live
-    :class:`AnomalyWatchdog` and offline reconciliation, which is what
-    makes ``repro anomalies --check`` an exact re-derivation rather
-    than a best-effort comparison.
+    :meth:`consume` returns the anomaly attribute dicts one record
+    triggers, in evaluation order. Span kinds, names, parents, tasks,
+    slots, end attributes and the simulated clock all come from
+    ``model``, the run's :class:`~repro.observability.replay.RunReplay`:
+    the live :class:`AnomalyWatchdog` shares the telemetry sink's, which
+    the sink has already advanced; built without one, the engine folds
+    each record into a fresh model of its own. It emits nothing itself,
+    which is what makes ``repro anomalies --check`` an exact
+    re-derivation rather than a best-effort comparison.
     """
 
-    def __init__(self, config: "AnomalyConfig | None" = None):
+    def __init__(
+        self,
+        config: "AnomalyConfig | None" = None,
+        model: "RunReplay | None" = None,
+    ):
         self.config = config if config is not None else AnomalyConfig()
+        self.model = model if model is not None else RunReplay()
+        self._feeds_model = model is None
         self._params = CostParameters()
-        self._span_kind: dict = {}
-        self._span_name: dict = {}
-        self._span_parent: dict = {}
-        self._phase_tasks: dict = {}
-        self._phase_slots: dict = {}
-        self._job_phases: dict = {}
-        self._job_map_records: dict = {}
         self._heap_baseline: dict = {}
         self._skew_baseline: dict = {}
         self._skew_fired: set = set()
-        self._usable_heap: "int | None" = None
-        self._sim_clock = 0.0
         self._storm_counts: dict = {}
-        self._storm_fired: set = set()
 
     # -- ingestion -------------------------------------------------------
 
     def consume(self, record: dict) -> "list[dict]":
         """Fold one journal record in; return the anomalies it fires."""
+        if self._feeds_model:
+            self.model.consume(record)
         rtype = record.get("type")
-        if rtype == SPAN_START:
-            return self._on_start(record)
         if rtype == SPAN_END:
-            return self._on_end(record)
-        if rtype == TASK:
-            return self._on_task(record)
-        if rtype == EVENT:
-            return self._on_event(record)
-        return []
-
-    def _on_start(self, record: dict) -> "list[dict]":
-        span = record.get("span")
-        kind = record.get("kind")
-        attrs = record.get("attrs") or {}
-        self._span_kind[span] = kind
-        self._span_name[span] = record.get("name", "")
-        self._span_parent[span] = record.get("parent")
-        if kind == JOB:
-            self._job_phases[span] = []
-        elif kind == PHASE:
-            self._phase_tasks[span] = []
-            self._phase_slots[span] = int(attrs.get("slots") or 1)
-            parent = record.get("parent")
-            if parent in self._job_phases:
-                self._job_phases[parent].append(span)
-        return []
-
-    def _on_task(self, record: dict) -> "list[dict]":
-        parent = record.get("parent")
-        if self._span_kind.get(parent) == PHASE:
-            self._phase_tasks[parent].append(
-                float(record.get("sim_seconds") or 0.0)
-            )
-        return []
-
-    def _on_event(self, record: dict) -> "list[dict]":
-        name = record.get("name", "")
-        if name in (ANOMALY, ANOMALY_CONFIG):
-            # Never feed the detectors their own output.
-            return []
-        attrs = record.get("attrs") or {}
-        if name == "strategy_decision":
-            usable = attrs.get("usable_heap_bytes")
-            if usable is not None:
-                self._usable_heap = int(usable)
-            return []
-        if name == "checkpoint_restore":
-            # A resumed run inherits the baseline's simulated time; the
-            # storm clock must advance with it, exactly as the live
-            # aggregate's totals do.
-            self._sim_clock += float(attrs.get("simulated_seconds") or 0.0)
-            return []
-        if name in FAULT_STORM_EVENTS:
-            cfg = self.config
-            window = int(self._sim_clock // cfg.storm_window_seconds)
-            count = self._storm_counts.get(window, 0) + 1
-            self._storm_counts[window] = count
-            if count == cfg.storm_events and window not in self._storm_fired:
-                self._storm_fired.add(window)
-                return [
-                    {
-                        "anomaly": FAULT_STORM,
-                        "window": window,
-                        "window_seconds": cfg.storm_window_seconds,
-                        "events": count,
-                        "threshold": cfg.storm_events,
-                        "simulated_seconds": self._sim_clock,
-                        "trigger": name,
-                    }
-                ]
-        return []
-
-    def _on_end(self, record: dict) -> "list[dict]":
-        span = record.get("span")
-        kind = self._span_kind.get(span)
-        attrs = record.get("attrs") or {}
-        if kind == PHASE:
-            return self._on_phase_end(span, attrs)
-        if kind == JOB:
-            return self._on_job_end(span, attrs)
+            node = self.model.spans.get(record.get("span"))
+            if node is not None and node.kind == PHASE:
+                return self._on_phase_end(node)
+            if node is not None and node.kind == JOB and node.end.get("status") == "ok":
+                return self._on_job_ok(node)
+        elif rtype == EVENT and record.get("name") in FAULT_STORM_EVENTS:
+            return self._on_fault_event(record.get("name"))
         return []
 
     # -- detectors -------------------------------------------------------
 
-    def _on_phase_end(self, span, attrs: dict) -> "list[dict]":
+    def _on_fault_event(self, name: str) -> "list[dict]":
+        # (5) fault storm: a window of the run's simulated clock fires
+        # once, when its fault-event count reaches the threshold.
         cfg = self.config
-        phase = self._span_name.get(span, "")
-        job_span = self._span_parent.get(span)
-        job_name = self._span_name.get(job_span, "")
+        clock = self.model.simulated_seconds
+        window = int(clock // cfg.storm_window_seconds)
+        count = self._storm_counts.get(window, 0) + 1
+        self._storm_counts[window] = count
+        if count != cfg.storm_events:
+            return []
+        return [
+            {
+                "anomaly": FAULT_STORM,
+                "window": window,
+                "window_seconds": cfg.storm_window_seconds,
+                "events": count,
+                "threshold": cfg.storm_events,
+                "simulated_seconds": clock,
+                "trigger": name,
+            }
+        ]
+
+    def _usable_heap(self) -> "int | None":
+        """The usable heap the latest Section-3.2 decision recorded."""
+        for event in reversed(self.model.events_named("strategy_decision")):
+            if event.attrs.get("usable_heap_bytes") is not None:
+                return int(event.attrs["usable_heap_bytes"])
+        return None
+
+    def _on_phase_end(self, node: SpanNode) -> "list[dict]":
+        cfg = self.config
+        attrs = node.end
+        job = node.parent
+        job_name = job.name if job is not None else ""
         family = job_family(job_name)
         firings: list[dict] = []
         # (1) straggler onset: analyze.DurationStats over the phase's
         # journalled task durations, the instant the phase closes.
-        seconds = self._phase_tasks.get(span) or []
+        seconds = [task.sim_seconds for task in node.tasks]
         if len(seconds) >= cfg.straggler_min_tasks:
             stats = DurationStats.from_seconds(seconds)
             if stats is not None and stats.straggler_ratio > cfg.straggler_ratio:
@@ -372,7 +328,7 @@ class AnomalyDetectors:
                     {
                         "anomaly": STRAGGLER_ONSET,
                         "job": job_name,
-                        "phase": phase,
+                        "phase": node.name,
                         "tasks": stats.count,
                         "p50_seconds": stats.p50_seconds,
                         "p95_seconds": stats.p95_seconds,
@@ -381,18 +337,17 @@ class AnomalyDetectors:
                         "threshold": cfg.straggler_ratio,
                     }
                 )
-        if phase == "map":
+        if node.name == "map":
             records_out = attrs.get("map_output_records")
             if records_out is not None:
                 records_out = int(records_out)
-                self._job_map_records[job_span] = records_out
                 # (3) Figure-2 heap breach, predicted *before* the
                 # reduce phase: project the family's last observed
                 # per-key heap high-water by this map phase's output
                 # growth and compare against the usable heap the
                 # strategy decision recorded.
                 baseline = self._heap_baseline.get(family)
-                usable = self._usable_heap
+                usable = self._usable_heap()
                 if baseline and usable and baseline[0] > 0:
                     base_records, base_heap = baseline
                     projected = base_heap * (records_out / base_records)
@@ -411,7 +366,7 @@ class AnomalyDetectors:
                                 "heap_fraction": cfg.heap_fraction,
                             }
                         )
-        elif phase == "reduce":
+        elif node.name == "reduce":
             bucket_records = attrs.get("bucket_records")
             if bucket_records:
                 total = 0
@@ -447,67 +402,44 @@ class AnomalyDetectors:
                             }
                         )
             max_heap = attrs.get("max_key_heap_bytes")
-            map_records = self._job_map_records.get(job_span)
+            map_records = _map_output_records(job)
             if max_heap and map_records:
                 self._heap_baseline[family] = (map_records, int(max_heap))
         return firings
 
-    def _on_job_end(self, span, attrs: dict) -> "list[dict]":
+    def _on_job_ok(self, node: SpanNode) -> "list[dict]":
+        # (4) cost-model residual drift: ``repro analyze``'s residuals
+        # at job close, over the relative threshold.
         cfg = self.config
+        residual = _job_residual(node, self._params)
         firings: list[dict] = []
-        job_name = self._span_name.get(span, "")
-        if attrs.get("status") == "ok":
-            # (4) cost-model residual drift: the analyze residual math
-            # (LPT makespan over journalled task durations, shuffle
-            # bandwidth over the shuffle-byte counter) at job close.
-            timing = attrs.get("timing") or {}
-            attempt = None
-            checks: list[tuple[str, float, float]] = []
-            for phase_span in self._job_phases.get(span, ()):
-                phase = self._span_name.get(phase_span, "")
-                tasks = self._phase_tasks.get(phase_span) or []
-                recorded = float(timing.get(f"{phase}_seconds") or 0.0)
-                if not tasks or recorded <= 0:
-                    continue
-                predicted = makespan(tasks, self._phase_slots.get(phase_span, 1))
-                checks.append((phase, predicted, recorded))
-            nodes = attrs.get("nodes")
-            shuffle_recorded = float(timing.get("shuffle_seconds") or 0.0)
-            shuffle_bytes = Counters.from_dict(attrs.get("counters") or {}).get(
-                FRAMEWORK_GROUP, MRCounter.SHUFFLE_BYTES
-            )
-            if nodes and shuffle_recorded > 0:
-                predicted = shuffle_bytes / (
-                    self._params.network_mbps_per_node * int(nodes) * MIB
+        for phase in residual.phases if residual is not None else ():
+            if phase.recorded_seconds <= 0:
+                continue
+            # analyze's residual is predicted - recorded; the event
+            # keeps recorded - predicted.
+            relative = -phase.relative_residual
+            if abs(relative) > cfg.residual_threshold:
+                firings.append(
+                    {
+                        "anomaly": COST_MODEL_DRIFT,
+                        "job": node.name,
+                        "phase": phase.phase,
+                        "predicted_seconds": phase.predicted_seconds,
+                        "recorded_seconds": phase.recorded_seconds,
+                        "residual": relative,
+                        "threshold": cfg.residual_threshold,
+                    }
                 )
-                checks.append(("shuffle", predicted, shuffle_recorded))
-            for phase, predicted, recorded in checks:
-                residual = (recorded - predicted) / recorded
-                if abs(residual) > cfg.residual_threshold:
-                    firings.append(
-                        {
-                            "anomaly": COST_MODEL_DRIFT,
-                            "job": job_name,
-                            "phase": phase,
-                            "predicted_seconds": predicted,
-                            "recorded_seconds": recorded,
-                            "residual": residual,
-                            "threshold": cfg.residual_threshold,
-                        }
-                    )
-            # (5)'s clock advances exactly as replay accounting does:
-            # successful attempts only, plus restored baselines.
-            self._sim_clock += float(attrs.get("simulated_seconds") or 0.0)
-        # The span is closed; drop its detector state so a long chained
-        # run holds a bounded working set.
-        for phase_span in self._job_phases.pop(span, ()):
-            self._phase_tasks.pop(phase_span, None)
-            self._phase_slots.pop(phase_span, None)
-            self._span_kind.pop(phase_span, None)
-            self._span_name.pop(phase_span, None)
-            self._span_parent.pop(phase_span, None)
-        self._job_map_records.pop(span, None)
         return firings
+
+
+def _map_output_records(job: "SpanNode | None") -> "int | None":
+    """The map-output volume the job's map phase journalled, if any."""
+    for child in reversed(job.children if job is not None else []):
+        if child.kind == PHASE and child.get("map_output_records") is not None:
+            return int(child.get("map_output_records"))
+    return None
 
 
 class AnomalyWatchdog:
@@ -523,13 +455,24 @@ class AnomalyWatchdog:
     """
 
     def __init__(self, journal, config: "AnomalyConfig | None" = None):
-        self.journal = journal
+        # Held weakly: the journal's sink holds the watchdog.
+        self._journal = weakref.ref(journal)
         self.config = config if config is not None else AnomalyConfig()
-        self.engine = AnomalyDetectors(self.config)
+        # Share the telemetry sink's run model when there is one: the
+        # sink folds each record in before it reaches the watchdog.
+        state = getattr(journal.sink, "state", None)
+        self.engine = AnomalyDetectors(
+            self.config, model=getattr(state, "model", None)
+        )
         #: Every anomaly attrs dict emitted so far, in firing order.
         self.fired: "list[dict]" = []
         self._config_emitted = False
         self._emitting = False
+
+    @property
+    def journal(self):
+        """The journal the watchdog observes and emits through."""
+        return self._journal()
 
     def observe_record(self, record: dict) -> None:
         """Feed one teed record through the detectors; emit firings."""

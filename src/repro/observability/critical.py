@@ -298,21 +298,21 @@ def critical_path(replay: RunReplay) -> CriticalPath:
     appear on the path; everything else is listed under ``off_path``.
     """
     restores: list[RestoreOnPath] = []
-    restore_sum = 0.0
+    start = 0.0
     for event in replay.restored_baselines():
         seconds = float(event.attrs.get("simulated_seconds") or 0.0)
-        start = restore_sum
-        restore_sum = restore_sum + seconds
         restores.append(
             RestoreOnPath(
                 name=str(event.attrs.get("name") or "checkpoint"),
                 iteration=event.attrs.get("iteration"),
                 jobs=int(event.attrs.get("jobs") or 0),
                 start=start,
-                end=restore_sum,
+                end=start + seconds,
                 seconds=seconds,
             )
         )
+        start = start + seconds
+    restore_sum = replay.restored_seconds
     retry_events = replay.events_named("job_retry")
     jobs: list[JobOnPath] = []
     job_sum = 0.0
@@ -351,11 +351,6 @@ def critical_path(replay: RunReplay) -> CriticalPath:
         off_path=off_path,
         blame=blame,
     )
-
-
-def makespan_of_chain(chain: "list[int]", sims: "list[float]") -> float:
-    """Duration of a task chain (sanity helper for tests/tools)."""
-    return sum(sims[index] for index in chain)
 
 
 # -- rendering -----------------------------------------------------------

@@ -10,9 +10,12 @@ guarded:
   to an inner sink (file or null) *and* folds it into a
   :class:`LiveRunState`, then lets a renderer, an SLO watchdog and ad
   hoc listeners react;
-* :class:`LiveRunState` — the aggregate: current iteration and
-  k-trajectory, per-phase task progress, counter totals, fault-event
-  counts, heap high-water fraction, and a cost-model-flavoured ETA;
+* :class:`LiveRunState` — the live view: it feeds the run's one
+  :class:`~repro.observability.replay.RunReplay` model and derives
+  from it the current iteration and k-trajectory, counter totals,
+  fault-event counts, heap high-water fraction and a
+  cost-model-flavoured ETA, adding the sub-phase task progress and
+  SLO breaches the journal does not carry;
 * :class:`LiveRenderer` — a ``--live`` TTY progress view (bars +
   rolling counters, repainted in place), degrading to one plain
   status line per iteration on non-TTY streams;
@@ -21,7 +24,8 @@ guarded:
   ``/healthz`` and a JSON ``/state`` snapshot, so a run can be
   scraped mid-flight;
 * :func:`follow_journal` — ``repro trace --follow``: tail a growing
-  file-sink journal and re-render incrementally.
+  file-sink journal, folding only the new records into one model, and
+  re-render.
 
 Determinism contract: telemetry *observes* the record stream and
 nothing here touches an RNG stream; results and canonical journals are
@@ -40,11 +44,11 @@ import os
 import sys
 import threading
 import time
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.mapreduce.counters import Counters
 from repro.observability.journal import (
-    EVENT,
     ITERATION,
     JOB,
     JOURNAL_ENV,
@@ -60,6 +64,7 @@ from repro.observability.journal import (
     load_journal,
 )
 from repro.observability.metrics import render_prometheus
+from repro.observability.replay import NODE_STATUS, RunReplay, SpanNode
 
 #: Environment variables wired to the CLI's live-telemetry flags.
 LIVE_ENV = "REPRO_LIVE"
@@ -67,75 +72,48 @@ METRICS_PORT_ENV = "REPRO_METRICS_PORT"
 
 
 class LiveRunState:
-    """The in-process aggregate of a run's journal stream so far.
+    """The in-process view of a run's journal stream so far.
 
-    One instance serves a whole run; :meth:`consume` folds records in
-    as the :class:`TelemetrySink` emits them, :meth:`progress` receives
-    sub-phase task-completion ticks from the runtime's executor (task
-    *records* are journalled only after a phase completes; live
-    progress needs the ticks). All mutation happens under one lock, so
-    the metrics-server thread can snapshot safely mid-run.
+    :meth:`consume` folds each record the :class:`TelemetrySink` emits
+    into :attr:`model` — the same incremental
+    :class:`~repro.observability.replay.RunReplay` that ``repro trace``
+    builds offline and the anomaly detectors read — and every run-level
+    view below is derived from it. The state itself keeps only what the
+    journal cannot say: the executor's sub-phase progress ticks
+    (:meth:`progress`; task *records* are journalled only after a phase
+    completes), SLO breaches, and wall time. All access happens under
+    one lock, so the metrics-server thread can snapshot safely mid-run.
     """
 
     def __init__(self) -> None:
         self._lock = threading.RLock()
-        self._span_kinds: dict[int, str] = {}
-        self._span_names: dict[int, str] = {}
-        # run
-        self.run_name: "str | None" = None
-        self.run_attrs: dict = {}
-        self.run_status: "str | None" = None
-        self.wall_started: "float | None" = None
-        self.wall_latest: "float | None" = None
-        # iterations / k
-        self.iteration: int = 0
-        self.k_before: "int | None" = None
-        self.k_current: "int | None" = None
-        self.k_trajectory: list[int] = []
-        self.iterations_done: int = 0
-        self.last_iteration: dict = {}
-        # jobs / phases
-        self.job_name: "str | None" = None
-        self.job_attempt: "int | None" = None
-        self.jobs_ok: int = 0
-        self.jobs_failed: int = 0
+        self.model = RunReplay()
         self.phase_name: "str | None" = None
         self.phase_tasks_total: int = 0
         self.phase_tasks_done: int = 0
-        # accounting
-        self.counters = Counters()
-        self.simulated_seconds: float = 0.0
-        self.max_heap_fraction: float = 0.0
-        self.event_counts: dict[str, int] = {}
-        # Node failure domains: latest per-node status and the capacity
-        # the last node lifecycle event reported. Both stay empty for
-        # runs without node faults, and the snapshot/gauges only grow
-        # node fields once an event has been seen.
-        self.node_status: dict[int, str] = {}
-        self.node_capacity: dict = {}
         # SLO breaches land here (the watchdog appends); part of /state.
         self.breaches: list[dict] = []
-        # Anomaly firings (typed ``anomaly`` journal events from the
-        # in-flight detectors) in firing order, plus per-type counts —
-        # what the panel badge, /state and the SLO ``on_anomaly`` rules
-        # read.
-        self.anomalies: list[dict] = []
-        self.anomaly_counts: dict[str, int] = {}
 
     # -- ingestion -------------------------------------------------------
 
     def consume(self, record: dict) -> None:
-        """Fold one journal record into the aggregate."""
+        """Fold one journal record into the model and the progress bar."""
         with self._lock:
-            self.wall_latest = record.get("wall_time") or self.wall_latest
-            handler = {
-                SPAN_START: self._consume_start,
-                SPAN_END: self._consume_end,
-                TASK: self._consume_task,
-                EVENT: self._consume_event,
-            }.get(record.get("type"))
-            if handler is not None:
-                handler(record)
+            self.model.consume(record)
+            rtype = record.get("type")
+            if rtype == SPAN_START and record.get("kind") == PHASE:
+                self.phase_name = record.get("name")
+                self.phase_tasks_total = int(
+                    (record.get("attrs") or {}).get("tasks") or 0
+                )
+                self.phase_tasks_done = 0
+            elif rtype == SPAN_END and self.kind_of(record.get("span")) == PHASE:
+                self.phase_tasks_done = self.phase_tasks_total
+            elif rtype == TASK and self.kind_of(record.get("parent")) == PHASE:
+                self.phase_tasks_done = min(
+                    self.phase_tasks_total or self.phase_tasks_done + 1,
+                    self.phase_tasks_done + 1,
+                )
 
     def progress(self, phase: str, done: int, total: int) -> None:
         """Task-completion tick from the runtime (sub-phase granularity)."""
@@ -144,123 +122,115 @@ class LiveRunState:
             self.phase_tasks_total = int(total)
             self.phase_tasks_done = max(self.phase_tasks_done, int(done))
 
-    def _consume_start(self, record: dict) -> None:
-        span, kind = record.get("span"), record.get("kind")
-        attrs = record.get("attrs") or {}
-        self._span_kinds[span] = kind
-        self._span_names[span] = record.get("name", "")
-        if kind == RUN:
-            self.run_name = record.get("name")
-            self.run_attrs = dict(attrs)
-            self.run_status = "running"
-            self.wall_started = record.get("wall_time")
-            k_init = attrs.get("k_init")
-            if k_init is not None and self.k_current is None:
-                self.k_current = int(k_init)
-        elif kind == ITERATION:
-            self.iteration = int(attrs.get("iteration") or self.iteration + 1)
-            self.k_before = attrs.get("k_before")
-            if self.k_before is not None:
-                self.k_current = int(self.k_before)
-        elif kind == JOB:
-            self.job_name = record.get("name")
-            self.job_attempt = attrs.get("attempt")
-        elif kind == PHASE:
-            self.phase_name = record.get("name")
-            self.phase_tasks_total = int(attrs.get("tasks") or 0)
-            self.phase_tasks_done = 0
+    def kind_of(self, span) -> "str | None":
+        """The kind of span ``span`` (``None`` if it never started)."""
+        node = self.model.spans.get(span)
+        return node.kind if node is not None else None
 
-    def _consume_end(self, record: dict) -> None:
-        kind = self._span_kinds.get(record.get("span"))
-        attrs = record.get("attrs") or {}
-        if kind == RUN:
-            self.run_status = str(attrs.get("status") or "ok")
-        elif kind == ITERATION:
-            self.iterations_done += 1
-            k_after = attrs.get("k_after")
-            if k_after is not None:
-                self.k_current = int(k_after)
-                self.k_trajectory.append(int(k_after))
-            self.last_iteration = {
-                "iteration": self.iteration,
-                "k_before": self.k_before,
-                "k_after": k_after,
-                "clusters_split": attrs.get("clusters_split"),
-                "strategy": attrs.get("strategy"),
-                "degraded": bool(attrs.get("degraded")),
-                "simulated_seconds": attrs.get("simulated_seconds"),
-            }
-        elif kind == JOB:
-            if attrs.get("status") == "ok":
-                self.jobs_ok += 1
-                self.counters.merge(Counters.from_dict(attrs.get("counters") or {}))
-                self.simulated_seconds += float(
-                    attrs.get("simulated_seconds") or 0.0
-                )
-                heap_bytes = attrs.get("heap_bytes")
-                max_heap = attrs.get("max_reduce_heap_bytes")
-                if heap_bytes and max_heap is not None:
-                    self.max_heap_fraction = max(
-                        self.max_heap_fraction, float(max_heap) / float(heap_bytes)
-                    )
-            elif attrs.get("status") == "failed":
-                self.jobs_failed += 1
-        elif kind == PHASE:
-            self.phase_tasks_done = self.phase_tasks_total
+    # -- views derived from the model ------------------------------------
 
-    def _consume_task(self, record: dict) -> None:
-        if self._span_kinds.get(record.get("parent")) == PHASE:
-            self.phase_tasks_done = min(
-                self.phase_tasks_total or self.phase_tasks_done + 1,
-                self.phase_tasks_done + 1,
-            )
+    @property
+    def counters(self) -> Counters:
+        return self.model.counters
 
-    def _consume_event(self, record: dict) -> None:
-        name = record.get("name", "")
-        self.event_counts[name] = self.event_counts.get(name, 0) + 1
-        if name == "anomaly":
-            attrs = record.get("attrs") or {}
-            kind = str(attrs.get("anomaly") or "unknown")
-            self.anomaly_counts[kind] = self.anomaly_counts.get(kind, 0) + 1
-            self.anomalies.append(dict(attrs))
-        if name in ("node_lost", "node_recovered", "node_blacklisted"):
-            attrs = record.get("attrs") or {}
-            node = attrs.get("node")
-            if node is not None:
-                self.node_status[int(node)] = {
-                    "node_lost": "dead",
-                    "node_recovered": "alive",
-                    "node_blacklisted": "blacklisted",
-                }[name]
-            self.node_capacity = {
-                key: attrs[key]
-                for key in (
-                    "schedulable_nodes",
-                    "total_map_slots",
-                    "total_reduce_slots",
-                )
-                if key in attrs
-            }
-        if name == "checkpoint_restore":
-            attrs = record.get("attrs") or {}
-            self.counters.merge(Counters.from_dict(attrs.get("counters") or {}))
-            self.simulated_seconds += float(attrs.get("simulated_seconds") or 0.0)
-            baseline_jobs = attrs.get("jobs")
-            if baseline_jobs:
-                self.jobs_ok += int(baseline_jobs)
+    @property
+    def simulated_seconds(self) -> float:
+        return self.model.simulated_seconds
 
-    # -- derived views ---------------------------------------------------
+    @property
+    def jobs_ok(self) -> int:
+        return self.model.jobs_ok
+
+    @property
+    def run_name(self) -> "str | None":
+        run = self.model.latest(RUN)
+        return run.name if run is not None else None
+
+    @property
+    def run_status(self) -> "str | None":
+        run = self.model.latest(RUN)
+        if run is None or run.end is None:
+            return None if run is None else "running"
+        return str(run.end.get("status") or "ok")
+
+    @property
+    def k_current(self) -> "int | None":
+        """The latest k reported: an iteration's ``k_after`` or
+        ``k_before``, else the first run's ``k_init``."""
+        for iteration in reversed(self.model.iterations()):
+            k = (iteration.end or {}).get("k_after")
+            k = iteration.attrs.get("k_before") if k is None else k
+            if k is not None:
+                return int(k)
+        for run in self.model.runs():
+            if run.attrs.get("k_init") is not None:
+                return int(run.attrs["k_init"])
+        return None
+
+    @property
+    def k_trajectory(self) -> "list[int]":
+        return [
+            int(iteration.end["k_after"])
+            for iteration in _ended(self.model.iterations())
+            if iteration.end.get("k_after") is not None
+        ]
+
+    @property
+    def iterations_done(self) -> int:
+        return len(_ended(self.model.iterations()))
+
+    @property
+    def last_iteration(self) -> dict:
+        iterations = self.model.iterations()
+        for index in range(len(iterations) - 1, -1, -1):
+            attrs = iterations[index].end
+            if attrs is not None:
+                return {
+                    "iteration": _iteration_number(iterations[: index + 1]),
+                    "k_before": iterations[index].attrs.get("k_before"),
+                    "k_after": attrs.get("k_after"),
+                    "clusters_split": attrs.get("clusters_split"),
+                    "strategy": attrs.get("strategy"),
+                    "degraded": bool(attrs.get("degraded")),
+                    "simulated_seconds": attrs.get("simulated_seconds"),
+                }
+        return {}
+
+    @property
+    def jobs_failed(self) -> int:
+        jobs = _ended(self.model.jobs())
+        return sum(1 for job in jobs if job.end.get("status") == "failed")
+
+    @property
+    def max_heap_fraction(self) -> float:
+        fraction = 0.0
+        for job in _ended(self.model.jobs()):
+            heap_bytes = job.end.get("heap_bytes")
+            max_heap = job.end.get("max_reduce_heap_bytes")
+            if job.end.get("status") == "ok" and heap_bytes and max_heap is not None:
+                fraction = max(fraction, float(max_heap) / float(heap_bytes))
+        return fraction
 
     @property
     def job_retries(self) -> int:
-        return self.event_counts.get("job_retry", 0)
+        return len(self.model.events_named("job_retry"))
+
+    @property
+    def anomaly_counts(self) -> "dict[str, int]":
+        """Detector firings per anomaly type — what the panel badge,
+        /state and the SLO ``on_anomaly`` rules read."""
+        return self.model.anomaly_counts()
+
+    # -- derived views ---------------------------------------------------
 
     def wall_seconds(self, now: "float | None" = None) -> float:
         """Real seconds since the run span opened (0 before it does)."""
         with self._lock:
-            if self.wall_started is None:
+            run = self.model.latest(RUN)
+            if run is None or run.wall_start is None:
                 return 0.0
-            return max(0.0, (now if now is not None else time.time()) - self.wall_started)
+            now = now if now is not None else time.time()
+            return max(0.0, now - run.wall_start)
 
     def eta_simulated_seconds(self) -> float:
         """Crude cost-model ETA for the *next* round of work.
@@ -289,70 +259,49 @@ class LiveRunState:
             return self.counters.copy()
 
     def live_gauges(self, now: "float | None" = None) -> dict[str, float]:
-        """Run-level gauges for the Prometheus endpoint.
+        """Run-level gauges for the Prometheus endpoint, read off
+        :meth:`snapshot`.
 
         All names live under the ``live_`` prefix, which no counter
         group uses — the telemetry endpoint can therefore never collide
         with a journal-derived ``repro_<group>_<name>`` counter.
         """
-        with self._lock:
-            gauges = {
-                "live_iteration": float(self.iteration),
-                "live_iterations_done": float(self.iterations_done),
-                "live_k": float(self.k_current or 0),
-                "live_phase_tasks_done": float(self.phase_tasks_done),
-                "live_phase_tasks_total": float(self.phase_tasks_total),
-                "live_jobs_ok": float(self.jobs_ok),
-                "live_jobs_failed": float(self.jobs_failed),
-                "live_job_retries": float(self.job_retries),
-                "live_simulated_seconds": float(self.simulated_seconds),
-                "live_max_heap_fraction": float(self.max_heap_fraction),
-                "live_slo_breaches": float(len(self.breaches)),
-                "live_anomalies": float(len(self.anomalies)),
-                "live_eta_simulated_seconds": 0.0,
-                "live_run_complete": float(
-                    self.run_status not in (None, "running")
-                ),
-            }
-            for kind in sorted(self.anomaly_counts):
-                gauges[f"live_anomalies_{kind}"] = float(
-                    self.anomaly_counts[kind]
-                )
-            if self.node_status:
-                statuses = self.node_status.values()
-                gauges["live_nodes_dead"] = float(
-                    sum(1 for status in statuses if status == "dead")
-                )
-                gauges["live_nodes_blacklisted"] = float(
-                    sum(1 for status in statuses if status == "blacklisted")
-                )
-                capacity = self.node_capacity
-                if "total_map_slots" in capacity:
-                    gauges["live_total_map_slots"] = float(
-                        capacity["total_map_slots"]
-                    )
-                if "total_reduce_slots" in capacity:
-                    gauges["live_total_reduce_slots"] = float(
-                        capacity["total_reduce_slots"]
-                    )
-        gauges["live_eta_simulated_seconds"] = self.eta_simulated_seconds()
-        gauges["live_wall_seconds"] = self.wall_seconds(now)
+        snap = self.snapshot(now)
+        gauges = {f"live_{key}": float(snap[key] or 0) for key in _GAUGE_KEYS}
+        gauges["live_slo_breaches"] = float(len(snap["slo_breaches"]))
+        gauges["live_anomalies"] = float(len(snap["anomalies"]))
+        gauges["live_run_complete"] = float(
+            snap["run_status"] not in ("pending", "running")
+        )
+        for kind, count in snap["anomaly_counts"].items():
+            gauges[f"live_anomalies_{kind}"] = float(count)
+        health = snap.get("node_health")
+        if health:
+            statuses = list(health["nodes"].values())
+            gauges["live_nodes_dead"] = float(statuses.count("dead"))
+            gauges["live_nodes_blacklisted"] = float(statuses.count("blacklisted"))
+            for key in ("total_map_slots", "total_reduce_slots"):
+                if key in health["capacity"]:
+                    gauges[f"live_{key}"] = float(health["capacity"][key])
         return gauges
 
     def snapshot(self, now: "float | None" = None) -> dict:
-        """JSON-ready view of the whole aggregate (the ``/state`` body)."""
+        """JSON-ready view of the whole run so far (the ``/state`` body)."""
         with self._lock:
+            model = self.model
+            run = model.latest(RUN)
+            job = model.latest(JOB)
             snap = {
                 "run": self.run_name,
                 "run_status": self.run_status or "pending",
-                "run_attrs": dict(self.run_attrs),
-                "iteration": self.iteration,
+                "run_attrs": dict(run.attrs) if run is not None else {},
+                "iteration": _iteration_number(model.iterations()),
                 "iterations_done": self.iterations_done,
                 "k": self.k_current,
-                "k_trajectory": list(self.k_trajectory),
-                "last_iteration": dict(self.last_iteration),
-                "job": self.job_name,
-                "job_attempt": self.job_attempt,
+                "k_trajectory": self.k_trajectory,
+                "last_iteration": self.last_iteration,
+                "job": job.name if job is not None else None,
+                "job_attempt": job.attrs.get("attempt") if job is not None else None,
                 "jobs_ok": self.jobs_ok,
                 "jobs_failed": self.jobs_failed,
                 "phase": self.phase_name,
@@ -361,23 +310,51 @@ class LiveRunState:
                 "simulated_seconds": self.simulated_seconds,
                 "max_heap_fraction": self.max_heap_fraction,
                 "job_retries": self.job_retries,
-                "events": dict(self.event_counts),
+                "events": dict(Counter(event.name for event in model.events)),
                 "counters": self.counters.as_dict(),
                 "slo_breaches": [dict(b) for b in self.breaches],
-                "anomalies": [dict(a) for a in self.anomalies],
-                "anomaly_counts": dict(self.anomaly_counts),
+                "anomalies": [dict(e.attrs) for e in model.anomaly_events()],
+                "anomaly_counts": self.anomaly_counts,
             }
-            if self.node_status:
+            nodes: dict[int, str] = {}
+            for event in model.node_events():
+                attrs = event.attrs
+                if attrs.get("node") is not None:
+                    nodes[int(attrs["node"])] = NODE_STATUS[event.name]
+                keys = ("schedulable_nodes", "total_map_slots", "total_reduce_slots")
+                capacity = {key: attrs[key] for key in keys if key in attrs}
+            if nodes:
                 snap["node_health"] = {
-                    "nodes": {
-                        str(node): status
-                        for node, status in sorted(self.node_status.items())
-                    },
-                    "capacity": dict(self.node_capacity),
+                    "nodes": {str(node): nodes[node] for node in sorted(nodes)},
+                    "capacity": capacity,
                 }
-        snap["wall_seconds"] = self.wall_seconds(now)
-        snap["eta_simulated_seconds"] = self.eta_simulated_seconds()
+            snap["wall_seconds"] = self.wall_seconds(now)
+            snap["eta_simulated_seconds"] = self.eta_simulated_seconds()
         return snap
+
+
+#: Snapshot fields exported one-for-one as ``live_<field>`` gauges.
+_GAUGE_KEYS = (
+    "iteration", "iterations_done", "k", "phase_tasks_done",
+    "phase_tasks_total", "jobs_ok", "jobs_failed", "job_retries",
+    "simulated_seconds", "max_heap_fraction", "eta_simulated_seconds",
+    "wall_seconds",
+)
+
+
+def _ended(spans: "list[SpanNode]") -> "list[SpanNode]":
+    return [span for span in spans if span.end is not None]
+
+
+def _iteration_number(iterations: "list[SpanNode]") -> int:
+    """The number of the last of ``iterations``: its own ``iteration``
+    attr, else one more than the one before it."""
+    after = 0
+    for iteration in reversed(iterations):
+        if iteration.attrs.get("iteration"):
+            return int(iteration.attrs["iteration"]) + after
+        after += 1
+    return after
 
 
 class TelemetrySink:
@@ -441,6 +418,7 @@ class TelemetrySink:
         if self.renderer is not None:
             self.renderer.finish(self.state)
         self.inner.close()
+        _forget_telemetry_journal(self)
 
 
 # -- TTY progress rendering ----------------------------------------------
@@ -483,8 +461,7 @@ class LiveRenderer:
             # One line per closed iteration (and the run close) only.
             from repro.observability.render import render_live_line
 
-            kind = state._span_kinds.get(record.get("span"))
-            if kind in (ITERATION, RUN):
+            if state.kind_of(record.get("span")) in (ITERATION, RUN):
                 self.stream.write(render_live_line(state.snapshot()) + "\n")
                 self.stream.flush()
 
@@ -594,13 +571,14 @@ def follow_journal(
     """Tail a growing journal file, re-rendering as records land.
 
     Polls ``path`` every ``interval`` seconds; whenever the journal has
-    grown, replays the records read so far and calls
-    ``on_update(replay, records)``. Reads with
-    ``load_journal(strict_tail=False)``: a tailer races the file sink
-    by construction, so catching it mid-write never errors — even
-    between the runs of a multi-run journal, where a strict read would
-    flag the half-written last line — the partial line simply shows up
-    whole on the next poll. Returns the final replay when the
+    grown, folds the newly read records into one incremental
+    :class:`~repro.observability.replay.RunReplay` and calls
+    ``on_update(replay, records)`` with every record read so far.
+    Reads with ``load_journal(strict_tail=False)``: a tailer races the
+    file sink by construction, so catching it mid-write never errors —
+    even between the runs of a multi-run journal, where a strict read
+    would flag the half-written last line — the partial line simply
+    shows up whole on the next poll. Returns the replay when the
     top-level run span closes (or when ``max_polls`` is exhausted;
     ``None`` polls forever).
 
@@ -611,9 +589,7 @@ def follow_journal(
     time.
     """
     from repro.common.errors import JournalCorruptError
-    from repro.observability.replay import replay_records
 
-    seen = 0
     replay = None
     polls = 0
     while True:
@@ -621,9 +597,13 @@ def follow_journal(
             records = load_journal(path, strict_tail=False)
         except (FileNotFoundError, JournalCorruptError):
             records = []
+        seen = len(replay.records) if replay is not None else 0
         if len(records) > seen:
-            seen = len(records)
-            replay = replay_records(records)
+            if replay is None:
+                replay = RunReplay()
+            for record in records[seen:]:
+                replay.consume(record)
+            replay.records = records
             on_update(replay, records)
             if replay.roots and all(root.complete for root in replay.roots):
                 return replay
@@ -637,6 +617,18 @@ def follow_journal(
 
 _TELEMETRY_JOURNALS: dict[tuple, Journal] = {}
 _TELEMETRY_LOCK = threading.Lock()
+
+
+def _forget_telemetry_journal(sink: TelemetrySink) -> None:
+    """Drop the shared journal of a closed sink from the process cache.
+
+    A closed journal can record nothing more, and its run model would
+    otherwise live as long as the process.
+    """
+    with _TELEMETRY_LOCK:
+        for key, journal in list(_TELEMETRY_JOURNALS.items()):
+            if journal.sink is sink:
+                del _TELEMETRY_JOURNALS[key]
 
 
 def telemetry_requested(env) -> bool:

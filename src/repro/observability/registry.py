@@ -102,10 +102,6 @@ def entry_from_replay(label: str, path: str, replay: RunReplay) -> RunEntry:
             continue
         wasted_attempts += 1
         wasted_seconds += float(attempt.get("simulated_seconds") or 0.0)
-    anomalies: dict[str, int] = {}
-    for event in replay.anomaly_events():
-        kind = str(event.attrs.get("anomaly") or "unknown")
-        anomalies[kind] = anomalies.get(kind, 0) + 1
     return RunEntry(
         label=label,
         path=path,
@@ -116,7 +112,7 @@ def entry_from_replay(label: str, path: str, replay: RunReplay) -> RunEntry:
         error=error,
         wasted_attempts=wasted_attempts,
         wasted_seconds=wasted_seconds,
-        anomalies=anomalies,
+        anomalies=replay.anomaly_counts(),
     )
 
 

@@ -15,6 +15,8 @@ is precisely the point.
 
 from __future__ import annotations
 
+import weakref
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.mapreduce.counters import Counters
@@ -29,6 +31,14 @@ from repro.observability.journal import (
     TASK,
     load_journal,
 )
+
+
+#: Node lifecycle event names, each with the node status it leaves.
+NODE_STATUS = {
+    "node_lost": "dead",
+    "node_recovered": "alive",
+    "node_blacklisted": "blacklisted",
+}
 
 
 @dataclass
@@ -66,20 +76,30 @@ class EventRecord:
 
 @dataclass
 class SpanNode:
-    """One reconstructed span with its children, tasks and events."""
+    """One reconstructed span with its children, tasks and events.
+
+    ``parent`` resolves while the replay that built the node is alive:
+    the replay owns every node, and a node holds its parent weakly, so
+    a dropped replay is freed at once, not by the cycle collector.
+    """
 
     id: int
     kind: str
     name: str
     attrs: dict = field(default_factory=dict)
     end: "dict | None" = None
-    parent: "SpanNode | None" = None
     children: "list[SpanNode]" = field(default_factory=list)
     tasks: "list[TaskRecord]" = field(default_factory=list)
     events: "list[EventRecord]" = field(default_factory=list)
     start_seq: int = 0
     wall_start: "float | None" = None
     wall_end: "float | None" = None
+    _parent: "weakref.ref | None" = field(default=None, repr=False, compare=False)
+
+    @property
+    def parent(self) -> "SpanNode | None":
+        """The enclosing span, if it is in the same replay."""
+        return self._parent() if self._parent is not None else None
 
     @property
     def complete(self) -> bool:
@@ -126,12 +146,101 @@ def left_fold_seconds(values) -> float:
 
 @dataclass
 class RunReplay:
-    """A whole journal, reconstructed."""
+    """A journal reconstructed as far as it has been read.
 
-    records: list[dict]
-    roots: "list[SpanNode]"
-    spans: "dict[int, SpanNode]"
-    events: "list[EventRecord]"
+    :meth:`consume` folds one record in; :func:`replay_records` is a
+    loop over it, and the live telemetry sink feeds one instance as
+    the run emits, so every journal tool reads the same model. Spans
+    of each kind are kept in start order, and the running totals below
+    follow the one accounting rule: restored checkpoint baselines plus
+    successful job attempts, never failed ones.
+    """
+
+    #: The records the model was read from; :meth:`consume` leaves it
+    #: to the reader (the live model keeps none).
+    records: "list[dict]" = field(default_factory=list)
+    roots: "list[SpanNode]" = field(default_factory=list)
+    spans: "dict[int, SpanNode]" = field(default_factory=dict)
+    events: "list[EventRecord]" = field(default_factory=list)
+    #: Left fold of the restored baselines' simulated seconds.
+    restored_seconds: float = 0.0
+    #: The run's simulated clock: restored baselines and successful
+    #: attempts folded in record order, as the runtime advances it.
+    simulated_seconds: float = 0.0
+    #: Counter totals accounted so far, in record order.
+    counters: Counters = field(default_factory=Counters)
+    #: Successful attempts plus the jobs restored baselines report.
+    jobs_ok: int = 0
+    _kinds: "dict[str, list[SpanNode]]" = field(default_factory=dict, repr=False)
+    _named: "dict[str, list[EventRecord]]" = field(default_factory=dict, repr=False)
+
+    # -- ingestion -------------------------------------------------------
+
+    def consume(self, record: dict) -> None:
+        """Fold one journal record into the model."""
+        kind = record.get("type")
+        if kind == SPAN_START:
+            node = SpanNode(
+                id=record["span"],
+                kind=record.get("kind", ""),
+                name=record.get("name", ""),
+                attrs=record.get("attrs") or {},
+                start_seq=record.get("seq", 0),
+                wall_start=record.get("wall_time"),
+            )
+            self.spans[node.id] = node
+            self._kinds.setdefault(node.kind, []).append(node)
+            parent = self.spans.get(record.get("parent"))
+            if parent is not None:
+                node._parent = weakref.ref(parent)
+                parent.children.append(node)
+            else:
+                self.roots.append(node)
+        elif kind == SPAN_END:
+            node = self.spans.get(record.get("span"))
+            if node is not None:
+                node.end = record.get("attrs") or {}
+                node.wall_end = record.get("wall_time")
+                if node.kind == JOB and node.end.get("status") == "ok":
+                    self._charge(node.end, 1)
+        elif kind == TASK:
+            parent = self.spans.get(record.get("parent"))
+            cpu = record.get("wall_cpu_seconds")
+            peak = record.get("wall_peak_memory_bytes")
+            task = TaskRecord(
+                task_id=record.get("task_id", ""),
+                index=int(record.get("index", 0)),
+                sim_seconds=float(record.get("sim_seconds", 0.0)),
+                wall_seconds=float(record.get("wall_seconds", 0.0)),
+                cpu_seconds=float(cpu) if cpu is not None else None,
+                peak_memory_bytes=int(peak) if peak is not None else None,
+            )
+            if parent is not None:
+                parent.tasks.append(task)
+        elif kind == EVENT:
+            event = EventRecord(
+                seq=record.get("seq", 0),
+                name=record.get("name", ""),
+                parent=record.get("parent"),
+                attrs=record.get("attrs") or {},
+                wall_time=record.get("wall_time"),
+            )
+            self.events.append(event)
+            self._named.setdefault(event.name, []).append(event)
+            parent = self.spans.get(event.parent)
+            if parent is not None:
+                parent.events.append(event)
+            if event.name == "checkpoint_restore":
+                self.restored_seconds = self.restored_seconds + float(
+                    event.attrs.get("simulated_seconds") or 0.0
+                )
+                self._charge(event.attrs, int(event.attrs.get("jobs") or 0))
+
+    def _charge(self, attrs: dict, jobs: int) -> None:
+        """Advance the running totals by one clock-charged segment."""
+        self.simulated_seconds += float(attrs.get("simulated_seconds") or 0.0)
+        self.counters.merge(Counters.from_dict(attrs.get("counters") or {}))
+        self.jobs_ok += jobs
 
     # -- views -----------------------------------------------------------
 
@@ -149,20 +258,21 @@ class RunReplay:
         return self._of_kind(PHASE)
 
     def _of_kind(self, kind: str) -> "list[SpanNode]":
-        return sorted(
-            (span for span in self.spans.values() if span.kind == kind),
-            key=lambda span: span.start_seq,
-        )
+        return list(self._kinds.get(kind, ()))
+
+    def latest(self, kind: str) -> "SpanNode | None":
+        """The most recently started span of ``kind``, if any."""
+        spans = self._kinds.get(kind)
+        return spans[-1] if spans else None
 
     def events_named(self, name: str) -> "list[EventRecord]":
-        return [event for event in self.events if event.name == name]
+        return list(self._named.get(name, ()))
 
     def node_events(self) -> "list[EventRecord]":
         """Node lifecycle events (lost / recovered / blacklisted), in
         journal order — the raw material of the per-node availability
         report in ``repro analyze``."""
-        lifecycle = {"node_lost", "node_recovered", "node_blacklisted"}
-        return [event for event in self.events if event.name in lifecycle]
+        return [event for event in self.events if event.name in NODE_STATUS]
 
     def anomaly_events(self) -> "list[EventRecord]":
         """The in-flight detector firings (``anomaly`` events), in
@@ -170,6 +280,15 @@ class RunReplay:
         ``anomaly`` plus the detector's inputs; ``repro anomalies
         JOURNAL --check`` proves they re-derive exactly."""
         return self.events_named("anomaly")
+
+    def anomaly_counts(self) -> "dict[str, int]":
+        """Detector firings per anomaly type, in first-firing order."""
+        return dict(
+            Counter(
+                str(event.attrs.get("anomaly") or "unknown")
+                for event in self.anomaly_events()
+            )
+        )
 
     # -- accounting cross-checks -----------------------------------------
 
@@ -197,12 +316,9 @@ class RunReplay:
         return totals
 
     def total_simulated_seconds(self) -> float:
-        """Simulated seconds the journal accounts for (see above)."""
-        total = left_fold_seconds(
-            float(restore.attrs.get("simulated_seconds") or 0.0)
-            for restore in self.restored_baselines()
-        )
-        return total + left_fold_seconds(
+        """Simulated seconds the journal accounts for (see above):
+        the restored baselines first, then the successful jobs."""
+        return self.restored_seconds + left_fold_seconds(
             float(job.get("simulated_seconds") or 0.0)
             for job in self.successful_jobs()
         )
@@ -210,59 +326,10 @@ class RunReplay:
 
 def replay_records(records: "list[dict]") -> RunReplay:
     """Fold a record list back into a :class:`RunReplay`."""
-    spans: dict[int, SpanNode] = {}
-    roots: list[SpanNode] = []
-    events: list[EventRecord] = []
+    replay = RunReplay(records=records)
     for record in records:
-        kind = record.get("type")
-        if kind == SPAN_START:
-            node = SpanNode(
-                id=record["span"],
-                kind=record.get("kind", ""),
-                name=record.get("name", ""),
-                attrs=record.get("attrs") or {},
-                start_seq=record.get("seq", 0),
-                wall_start=record.get("wall_time"),
-            )
-            spans[node.id] = node
-            parent = spans.get(record.get("parent"))
-            if parent is not None:
-                node.parent = parent
-                parent.children.append(node)
-            else:
-                roots.append(node)
-        elif kind == SPAN_END:
-            node = spans.get(record.get("span"))
-            if node is not None:
-                node.end = record.get("attrs") or {}
-                node.wall_end = record.get("wall_time")
-        elif kind == TASK:
-            parent = spans.get(record.get("parent"))
-            cpu = record.get("wall_cpu_seconds")
-            peak = record.get("wall_peak_memory_bytes")
-            task = TaskRecord(
-                task_id=record.get("task_id", ""),
-                index=int(record.get("index", 0)),
-                sim_seconds=float(record.get("sim_seconds", 0.0)),
-                wall_seconds=float(record.get("wall_seconds", 0.0)),
-                cpu_seconds=float(cpu) if cpu is not None else None,
-                peak_memory_bytes=int(peak) if peak is not None else None,
-            )
-            if parent is not None:
-                parent.tasks.append(task)
-        elif kind == EVENT:
-            event = EventRecord(
-                seq=record.get("seq", 0),
-                name=record.get("name", ""),
-                parent=record.get("parent"),
-                attrs=record.get("attrs") or {},
-                wall_time=record.get("wall_time"),
-            )
-            events.append(event)
-            parent = spans.get(event.parent)
-            if parent is not None:
-                parent.events.append(event)
-    return RunReplay(records=records, roots=roots, spans=spans, events=events)
+        replay.consume(record)
+    return replay
 
 
 def replay_journal(path: str) -> RunReplay:

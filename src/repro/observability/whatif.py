@@ -401,13 +401,9 @@ def whatif_replay(
     exactly the recorded totals (the identity check the test suite
     pins).
     """
-    # Same left fold as RunReplay.total_simulated_seconds, so an
-    # identity scenario's recorded total matches the journalled
-    # makespan bitwise on every Python version.
-    restore_seconds = left_fold_seconds(
-        float(restore.attrs.get("simulated_seconds") or 0.0)
-        for restore in replay.restored_baselines()
-    )
+    # The replay's own restore fold, so an identity scenario's recorded
+    # total matches the journalled makespan bitwise.
+    restore_seconds = replay.restored_seconds
     jobs = []
     recorded_total = restore_seconds
     predicted_total = restore_seconds

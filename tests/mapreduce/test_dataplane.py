@@ -1,5 +1,6 @@
 """Unit tests of the zero-copy shared-memory data plane."""
 
+import os
 import pickle
 
 import numpy as np
@@ -18,8 +19,13 @@ from repro.mapreduce.dataplane import (
     release_block,
     release_segment,
     resolve_data_plane,
+    shared_memory_available,
 )
+from repro.mapreduce.cluster import ClusterConfig
+from repro.mapreduce.executors import RuntimeConfig
 from repro.mapreduce.hdfs import InMemoryDFS
+from repro.mapreduce.job import Job, Mapper
+from repro.mapreduce.runtime import MapReduceRuntime
 
 
 @pytest.fixture(autouse=True)
@@ -214,3 +220,34 @@ def test_partial_replica_loss_keeps_the_segment():
     assert len(active_segments()) == before
     assert dfs.live_replicas("data", 0) == f.replication
     dfs.release()
+
+
+class _AttachedSegmentsMapper(Mapper):
+    """Reads its split, then reports the segments its worker has mapped."""
+
+    def map_split(self, split, ctx):
+        np.asarray(split.records)
+        ctx.emit(0, tuple(dataplane.attached_segments()))
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/dev/shm") or not shared_memory_available(),
+    reason="needs POSIX shared memory listed under /dev/shm",
+)
+def test_pool_workers_drop_attachments_of_released_runs():
+    """Across fits on one shared pool, a worker's attachment cache never
+    holds a segment of an earlier fit once that fit's DFS is released."""
+    for _fit in range(3):
+        dfs = InMemoryDFS(split_size_bytes=400, data_plane="shared")
+        _, f = _write(dfs)
+        segments = {split.records.segment for split in f.splits}
+        runtime = MapReduceRuntime(
+            dfs,
+            cluster=ClusterConfig(nodes=1),
+            rng=0,
+            config=RuntimeConfig(executor="processes", num_workers=2),
+        )
+        result = runtime.run(Job(name="probe", mapper=_AttachedSegmentsMapper), f)
+        seen = {name for _key, names in result.output for name in names}
+        dfs.release()
+        assert seen <= segments, sorted(seen - segments)

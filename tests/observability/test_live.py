@@ -144,6 +144,23 @@ def test_event_counting_and_checkpoint_restore_baseline():
     assert state.jobs_ok == 6
 
 
+def test_node_lifecycle_events_drive_node_health_and_gauges():
+    journal, _, state = telemetry_journal()
+    capacity = dict(schedulable_nodes=2, total_map_slots=16, total_reduce_slots=16)
+    with journal.span(RUN, "gmeans"):
+        journal.event("node_lost", node=1, **capacity)
+        journal.event("node_blacklisted", node=2, schedulable_nodes=1)
+        journal.event("node_recovered", node=1, **capacity)
+    assert state.snapshot(now=0.0)["node_health"] == {
+        "nodes": {"1": "alive", "2": "blacklisted"},
+        "capacity": capacity,
+    }
+    gauges = state.live_gauges(now=0.0)
+    assert gauges["live_nodes_dead"] == 0.0
+    assert gauges["live_nodes_blacklisted"] == 1.0
+    assert gauges["live_total_map_slots"] == 16.0
+
+
 def test_live_gauges_and_snapshot_are_json_ready():
     journal, _, state = telemetry_journal()
     drive_run(journal)

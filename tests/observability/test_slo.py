@@ -50,9 +50,23 @@ def test_parse_slo_rules_rejects_malformed_specs(spec):
         parse_slo_rules(spec)
 
 
+def _report_k(state, k):
+    """Feed ``state`` an iteration start that reports ``k``."""
+    span = len(state.model.spans)
+    state.consume(
+        {
+            "type": "span_start",
+            "span": span,
+            "kind": "iteration",
+            "name": f"iteration-{span + 1}",
+            "attrs": {"k_before": k},
+        }
+    )
+
+
 def _state_with_k(k):
     state = LiveRunState()
-    state.k_current = k
+    _report_k(state, k)
     return state
 
 
@@ -64,7 +78,7 @@ def test_watchdog_abort_rule_latches_and_fires_once():
     assert watchdog.abort_requested is None
     watchdog.check_abort()  # no breach yet: no raise
 
-    state.k_current = 6
+    _report_k(state, 6)
     watchdog.observe(state)
     watchdog.observe(state)  # second observation must not re-fire
     assert len(watchdog.breaches) == 1
@@ -92,8 +106,7 @@ def test_watchdog_warn_rule_never_requests_abort():
 
 
 def test_watchdog_every_rule_name_is_observable():
-    state = LiveRunState()
-    state.k_current = 2
+    state = _state_with_k(2)
     watchdog = SLOWatchdog(
         [
             SLORule(
