@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-processes test-shared test-all chaos chaos-node trace live analyze report ablate tune bench-executors bench
+.PHONY: test test-processes test-shared test-all chaos chaos-node trace live analyze report ablate bench-executors bench
 
 # Tier-1: the full suite on the default (serial) backend.
 test:
@@ -115,7 +115,7 @@ report:
 	REPRO_SLO=max_k=2 \
 	$(PYTHON) examples/run_with_journal.py $(RUNS_DIR)/04-slo-abort.jsonl; \
 	test $$? -eq 3
-	$(PYTHON) -m repro report $(RUNS_DIR) --out-dir reports \
+	$(PYTHON) -m repro dashboard $(RUNS_DIR) --out-dir reports \
 		--basename dashboard
 
 # The self-driving ablation grid: a seeded baseline plus one run per
@@ -130,18 +130,6 @@ ablate:
 		--out-dir reports --bench-json BENCH_observability.json \
 		> /dev/null
 	$(PYTHON) -m repro ablate --check --out-dir reports
-
-# The autotuner: rank the joint (nodes x combiner x split_factor) space
-# from one baseline journal via the what-if predictor, validate the
-# top-3 by real re-runs, and emit reports/best-config.json. Exits
-# non-zero if the winner's predicted-vs-actual relative makespan error
-# exceeds the 0.02 budget (the bench_whatif_accuracy bound).
-TUNE_POINTS ?= 6000
-tune:
-	$(PYTHON) -m repro tune --points $(TUNE_POINTS) \
-		--out-dir reports --bench-json BENCH_observability.json \
-		> /dev/null
-	$(PYTHON) -m repro tune --check --out-dir reports
 
 bench-executors:
 	$(PYTHON) -m pytest benchmarks/bench_executor_speedup.py -q -s

@@ -17,7 +17,7 @@
     python -m repro whatif run.jsonl --set num_workers=8 --set combiner=off
     python -m repro analyze run.jsonl
     python -m repro diff baseline.jsonl run.jsonl --max-time-regression 0.1
-    python -m repro report runs/ --out-dir reports/
+    python -m repro dashboard runs/ --out-dir reports/
     python -m repro experiment table1 --journal run.jsonl --anomaly
     python -m repro anomalies run.jsonl --check
 
@@ -30,6 +30,11 @@ arms the in-flight detectors, which *do* journal their firings — but
 from simulated quantities only, so those journals are byte-identical
 across backends too, and ``repro anomalies --check`` re-derives every
 firing exactly.
+
+The component manifest (:mod:`repro.observability.components`) has two
+consumers here: ``repro ablate`` runs its single-flip grid, and
+``repro ablation NAME`` runs the design-choice sweeps that read their
+value lists from it.
 
 Exit codes: 0 success, 1 command failure, 2 usage, 3 SLO abort
 (a ``--slo`` rule breached and the run checkpointed then stopped).
@@ -115,24 +120,6 @@ def _cmd_all(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    if args.rundir:
-        from repro.observability import RegistryError
-        from repro.observability import write_report as write_dashboard
-
-        try:
-            written = write_dashboard(
-                args.rundir,
-                out_dir=args.out_dir,
-                basename=args.basename,
-                with_html=not args.no_html,
-            )
-        except RegistryError as exc:
-            print(f"cannot build registry report: {exc}", file=sys.stderr)
-            return 1
-        for kind, path in sorted(written.items()):
-            print(f"{kind}: {path}")
-        return 0
-
     from repro.evaluation.report import write_report
 
     path = write_report(
@@ -141,6 +128,25 @@ def _cmd_report(args) -> int:
         progress=lambda name: print(f"running {name} ...", file=sys.stderr),
     )
     print(f"report written to {path}")
+    return 0
+
+
+def _cmd_dashboard(args) -> int:
+    from repro.observability import RegistryError
+    from repro.observability import write_report as write_dashboard
+
+    try:
+        written = write_dashboard(
+            args.rundir,
+            out_dir=args.out_dir,
+            basename=args.basename,
+            with_html=not args.no_html,
+        )
+    except RegistryError as exc:
+        print(f"cannot build registry report: {exc}", file=sys.stderr)
+        return 1
+    for kind, path in sorted(written.items()):
+        print(f"{kind}: {path}")
     return 0
 
 
@@ -440,91 +446,6 @@ def _cmd_ablate(args) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_tune(args) -> int:
-    import json
-
-    from repro.observability.tune import (
-        TuneError,
-        TuneSpace,
-        default_tune_spec,
-        load_tune,
-        load_tuned_config,
-        render_tune,
-        run_tune,
-        verify_tune,
-        write_tune,
-    )
-
-    if args.check:
-        report_path = os.path.join(args.out_dir, f"{args.basename}.json")
-        best_path = os.path.join(args.out_dir, "best-config.json")
-        try:
-            report = load_tune(report_path)
-            best = (
-                load_tuned_config(best_path)
-                if os.path.exists(best_path)
-                else None
-            )
-        except (OSError, TuneError, ValueError) as exc:
-            print(f"cannot load tune report: {exc}", file=sys.stderr)
-            return 2
-        problems = verify_tune(report, best_config=best)
-        if problems:
-            for problem in problems:
-                print(f"FAIL {problem}")
-            return 1
-        print(
-            f"{report_path}: predictions and validations reconcile exactly "
-            f"({len(report['predictions'])} candidates, "
-            f"{len(report['validated'])} validated)"
-        )
-        return 0
-
-    spec = default_tune_spec(n_points=args.points, seed=args.seed)
-    journal_dir = args.journal_dir or os.path.join(args.out_dir, "tune")
-    try:
-        report = run_tune(
-            spec,
-            TuneSpace(),
-            journal_dir=journal_dir,
-            top_n=args.top,
-            budget=args.budget,
-        )
-    except TuneError as exc:
-        print(f"tune failed: {exc}", file=sys.stderr)
-        return 2
-    written = write_tune(report, out_dir=args.out_dir, basename=args.basename)
-    text = (
-        json.dumps(report.as_dict(), indent=2, sort_keys=True)
-        if args.json
-        else render_tune(report)
-    )
-    print(text)
-    for kind, path in sorted(written.items()):
-        print(f"{kind}: {path}", file=sys.stderr)
-    if args.bench_json:
-        from repro.evaluation.benchjson import merge_bench_json
-
-        merge_bench_json(
-            args.bench_json,
-            "autotune",
-            workload=report.spec.as_dict(),
-            metrics={
-                "baseline_simulated_seconds": report.baseline_seconds,
-                "candidates": len(report.predictions),
-                "validated": len(report.validated),
-                "winner": report.winner.candidate.describe(),
-                "winner_simulated_seconds": report.winner.actual_seconds,
-                "winner_rel_error": report.winner.rel_error,
-                "improvement_fraction": report.improvement_fraction,
-                "error_budget": report.budget,
-                "within_budget": report.ok,
-            },
-        )
-        print(f"bench json: {args.bench_json}", file=sys.stderr)
-    return 0 if report.ok else 1
-
-
 def _global_options() -> argparse.ArgumentParser:
     """The run-wide flags, accepted before *or* after the subcommand.
 
@@ -694,18 +615,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_report = sub.add_parser(
         "report",
-        help="run experiments and write one markdown report, or — given "
-        "a directory of journals — render the cross-run registry "
-        "dashboard",
+        help="run experiments and write one markdown report",
         parents=[options],
-    )
-    p_report.add_argument(
-        "rundir",
-        nargs="?",
-        default=None,
-        metavar="RUNDIR",
-        help="directory of *.jsonl journals; when given, render the "
-        "longitudinal registry dashboard instead of running experiments",
     )
     p_report.add_argument(
         "--out", default="report.md", help="output markdown path"
@@ -715,24 +626,33 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         help="restrict to these experiment/ablation names",
     )
-    p_report.add_argument(
+
+    p_dashboard = sub.add_parser(
+        "dashboard",
+        help="render the cross-run registry dashboard of a directory of "
+        "journals",
+        parents=[options],
+    )
+    p_dashboard.add_argument(
+        "rundir", metavar="RUNDIR", help="directory of *.jsonl journals"
+    )
+    p_dashboard.add_argument(
         "--out-dir",
         default="reports",
         metavar="DIR",
-        help="registry mode: directory for the dashboard artifacts "
-        "(default: reports)",
+        help="directory for the dashboard artifacts (default: reports)",
     )
-    p_report.add_argument(
+    p_dashboard.add_argument(
         "--basename",
         default="dashboard",
         metavar="NAME",
-        help="registry mode: artifact basename (default: dashboard)",
+        help="artifact basename (default: dashboard)",
     )
-    p_report.add_argument(
+    p_dashboard.add_argument(
         "--no-html",
         action="store_true",
         default=False,
-        help="registry mode: skip the HTML rendering of the dashboard",
+        help="skip the HTML rendering of the dashboard",
     )
 
     p_trace = sub.add_parser(
@@ -943,71 +863,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="merge the importance summary into this BENCH_*.json",
     )
 
-    p_tune = sub.add_parser(
-        "tune",
-        help="search the joint config space by what-if prediction from "
-        "one baseline journal, validate the top-N for real, and emit "
-        "the winning config",
-        parents=[options],
-    )
-    p_tune.add_argument(
-        "--points",
-        type=int,
-        default=6000,
-        help="workload size in points (default: 6000)",
-    )
-    p_tune.add_argument(
-        "--seed", type=int, default=11, help="workload seed (default: 11)"
-    )
-    p_tune.add_argument(
-        "--top",
-        type=int,
-        default=3,
-        help="how many predicted winners to validate by real re-runs "
-        "(default: 3)",
-    )
-    p_tune.add_argument(
-        "--budget",
-        type=float,
-        default=0.02,
-        metavar="FRAC",
-        help="predicted-vs-actual relative makespan error budget for the "
-        "winner (default: 0.02, the bench_whatif_accuracy bound)",
-    )
-    p_tune.add_argument(
-        "--out-dir",
-        default="reports",
-        help="where tune.{md,json} and best-config.json land "
-        "(default: reports)",
-    )
-    p_tune.add_argument(
-        "--basename",
-        default="tune",
-        help="report file stem (default: tune)",
-    )
-    p_tune.add_argument(
-        "--journal-dir",
-        help="where baseline/validation/decision journals land "
-        "(default: <out-dir>/tune)",
-    )
-    p_tune.add_argument(
-        "--check",
-        action="store_true",
-        default=False,
-        help="verify the committed tune report reconciles exactly with "
-        "its journals instead of re-tuning (exit 1 on drift)",
-    )
-    p_tune.add_argument(
-        "--json",
-        action="store_true",
-        default=False,
-        help="emit the machine-readable report instead of markdown",
-    )
-    p_tune.add_argument(
-        "--bench-json",
-        metavar="PATH",
-        help="merge the tune outcome into this BENCH_*.json",
-    )
     return parser
 
 
@@ -1043,13 +898,13 @@ def main(argv: "list[str] | None" = None) -> int:
         "ablation": _cmd_ablation,
         "all": _cmd_all,
         "report": _cmd_report,
+        "dashboard": _cmd_dashboard,
         "trace": _cmd_trace,
         "whatif": _cmd_whatif,
         "analyze": _cmd_analyze,
         "anomalies": _cmd_anomalies,
         "diff": _cmd_diff,
         "ablate": _cmd_ablate,
-        "tune": _cmd_tune,
     }
     from repro.common.errors import SLOViolationError
 

@@ -14,12 +14,22 @@ measures its effect on the same data:
 * initial-center selection (serial random vs k-means++ vs the cited
   MapReduce k-means|| of Bahmani et al.);
 * Spark-style input caching (the paper's future work).
+
+The single-knob G-means sweeps (k-means passes, test strategy, vote
+rule, input caching, normality test) are one loop over a
+:class:`_Sweep` spec each: the knob's values and where each value
+lands come from the component manifest shared with ``repro ablate``,
+so a knob's variants are declared exactly once. The other ablations
+vary the workload itself and keep their own bodies.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field, replace
+
 import numpy as np
 
+from repro.clustering.external import adjusted_rand_index
 from repro.clustering.metrics import assign_nearest, average_distance
 from repro.core.config import MRGMeansConfig
 from repro.core.gmeans_mr import MRGMeans
@@ -27,16 +37,13 @@ from repro.core.kmeans_mr import MRKMeans
 from repro.core.test_clusters import make_test_clusters_job
 from repro.data.generator import generate_gaussian_mixture, paper_family_dataset
 from repro.evaluation.experiments import EXPERIMENT_ALPHA, ExperimentResult
-from repro.evaluation.harness import build_world
+from repro.evaluation.harness import BENCH_COST, build_world
 from repro.evaluation.tables import render_table
 from repro.mapreduce.partitioners import (
     make_weight_balanced_partitioner,
     reduce_load_imbalance,
 )
-# The value lists these ablations sweep live in the declarative
-# component manifest shared with `repro ablate` / `repro tune`, so a
-# knob's variants are declared exactly once.
-from repro.observability.components import component_values
+from repro.observability.components import component, component_values
 
 
 def _quality(points: np.ndarray, centers: np.ndarray) -> tuple[float, float]:
@@ -50,6 +57,78 @@ def _quality(points: np.ndarray, centers: np.ndarray) -> tuple[float, float]:
     return float(np.sqrt(sq).mean()), worst
 
 
+def _fit_metrics(world, result, k_real: int) -> dict:
+    """Every row metric a G-means sweep can report, for one fit."""
+    labels, sq = assign_nearest(world.points, result.centers)
+    return {
+        "k_found": result.k_found,
+        "ratio": result.k_found / k_real,
+        "avg_distance": float(np.sqrt(sq).mean()),
+        "ari": adjusted_rand_index(world.mixture.labels, labels),
+        "time_seconds": result.simulated_seconds,
+        "dataset_reads": result.totals.dataset_reads,
+        "disk_reads": result.totals.dataset_reads,
+        "cached_reads": result.totals.cached_reads,
+        "iterations": result.iterations,
+        "used": "+".join(
+            sorted({h.strategy for h in result.history if h.strategy != "none"})
+        ),
+    }
+
+
+@dataclass(frozen=True)
+class _Sweep:
+    """One single-knob G-means sweep over a manifest component.
+
+    Rows are keyed by the component's target field, then ``metrics``
+    (keys of :func:`_fit_metrics`); ``headers`` label those columns.
+    ``config`` pins more :class:`MRGMeansConfig` fields and ``cost``
+    overrides ``BENCH_COST`` fields; ``title`` may use ``{k_real}``.
+    """
+
+    name: str
+    component: str
+    dataset_prefix: str
+    metrics: "tuple[str, ...]"
+    headers: "tuple[str, ...]"
+    title: str
+    config: "dict[str, object]" = field(default_factory=dict)
+    cost: "dict[str, float]" = field(default_factory=dict)
+
+    def run(self, k_real: int, n_points: int, seed: int, values=None):
+        """Fit G-means once per component value on one dataset.
+
+        A value lands where the component's ``target`` says:
+        ``gmeans.*`` sets an :class:`MRGMeansConfig` field,
+        ``driver.*`` passes an :class:`MRGMeans` keyword argument.
+        """
+        comp = component(self.component)
+        mixture = paper_family_dataset(k_real, n_points, rng=seed)
+        cost = replace(BENCH_COST, **self.cost) if self.cost else None
+        rows = []
+        for value in values or comp.values:
+            world = build_world(
+                mixture, nodes=4, target_splits=16, seed=seed,
+                dataset_name=f"{self.dataset_prefix}{value}", cost=cost,
+            )
+            config = {"seed": seed, "alpha": EXPERIMENT_ALPHA, **self.config}
+            driver = {}
+            (config if comp.namespace == "gmeans" else driver)[comp.field] = value
+            result = MRGMeans(
+                world.runtime, MRGMeansConfig(**config), **driver
+            ).fit(world.dataset)
+            metrics = _fit_metrics(world, result, k_real)
+            rows.append(
+                {comp.field: value, **{key: metrics[key] for key in self.metrics}}
+            )
+        text = render_table(
+            list(self.headers),
+            [list(row.values()) for row in rows],
+            title=self.title.format(k_real=k_real),
+        )
+        return ExperimentResult(name=f"ablation_{self.name}", rows=rows, text=text)
+
+
 def ablation_kmeans_iterations(
     iterations_list: "list[int] | None" = None,
     k_real: int = 16,
@@ -61,41 +140,14 @@ def ablation_kmeans_iterations(
     The paper settles on two; this sweeps 1..4 and reports the
     quality/cost trade-off.
     """
-    iterations_list = iterations_list or list(
-        component_values("kmeans_iterations")
-    )
-    mixture = paper_family_dataset(k_real, n_points, rng=seed)
-    rows = []
-    for km_iters in iterations_list:
-        world = build_world(
-            mixture, nodes=4, target_splits=16, seed=seed,
-            dataset_name=f"km{km_iters}",
-        )
-        cfg = MRGMeansConfig(
-            seed=seed, alpha=EXPERIMENT_ALPHA, kmeans_iterations=km_iters
-        )
-        result = MRGMeans(world.runtime, cfg).fit(world.dataset)
-        avg, worst = _quality(world.points, result.centers)
-        rows.append(
-            {
-                "kmeans_iterations": km_iters,
-                "k_found": result.k_found,
-                "avg_distance": avg,
-                "time_seconds": result.simulated_seconds,
-                "dataset_reads": result.totals.dataset_reads,
-            }
-        )
-    text = render_table(
-        ["k-means passes/round", "k_found", "avg distance", "time (sim s)", "reads"],
-        [
-            [r["kmeans_iterations"], r["k_found"], r["avg_distance"],
-             r["time_seconds"], r["dataset_reads"]]
-            for r in rows
-        ],
-        title=f"Ablation — k-means passes per G-means iteration"
-        f" (k_real={k_real}, paper uses 2)",
-    )
-    return ExperimentResult(name="ablation_kmeans_iterations", rows=rows, text=text)
+    return _Sweep(
+        "kmeans_iterations", "kmeans_iterations", "km",
+        metrics=("k_found", "avg_distance", "time_seconds", "dataset_reads"),
+        headers=("k-means passes/round", "k_found", "avg distance",
+                 "time (sim s)", "reads"),
+        title="Ablation — k-means passes per G-means iteration"
+        " (k_real={k_real}, paper uses 2)",
+    ).run(k_real, n_points, seed, iterations_list)
 
 
 def ablation_test_strategy(
@@ -104,36 +156,14 @@ def ablation_test_strategy(
     seed: int = 17,
 ) -> ExperimentResult:
     """Mapper-side vs reducer-side vs auto (the hybrid rule)."""
-    mixture = paper_family_dataset(k_real, n_points, rng=seed)
-    rows = []
-    for strategy in component_values("test_strategy"):
-        world = build_world(
-            mixture, nodes=4, target_splits=16, seed=seed,
-            dataset_name=f"strat-{strategy}",
-        )
-        cfg = MRGMeansConfig(seed=seed, alpha=EXPERIMENT_ALPHA, strategy=strategy)
-        result = MRGMeans(world.runtime, cfg).fit(world.dataset)
-        avg, worst = _quality(world.points, result.centers)
-        used = sorted({h.strategy for h in result.history if h.strategy != "none"})
-        rows.append(
-            {
-                "strategy": strategy,
-                "used": "+".join(used),
-                "k_found": result.k_found,
-                "avg_distance": avg,
-                "time_seconds": result.simulated_seconds,
-            }
-        )
-    text = render_table(
-        ["configured", "strategies used", "k_found", "avg distance", "time (sim s)"],
-        [
-            [r["strategy"], r["used"], r["k_found"], r["avg_distance"],
-             r["time_seconds"]]
-            for r in rows
-        ],
-        title="Ablation — normality-test strategy (TestFewClusters vs TestClusters)",
-    )
-    return ExperimentResult(name="ablation_test_strategy", rows=rows, text=text)
+    return _Sweep(
+        "test_strategy", "test_strategy", "strat-",
+        metrics=("used", "k_found", "avg_distance", "time_seconds"),
+        headers=("configured", "strategies used", "k_found", "avg distance",
+                 "time (sim s)"),
+        title="Ablation — normality-test strategy (TestFewClusters vs"
+        " TestClusters)",
+    ).run(k_real, n_points, seed)
 
 
 def ablation_vote_rules(
@@ -142,38 +172,56 @@ def ablation_vote_rules(
     seed: int = 19,
 ) -> ExperimentResult:
     """How mapper votes combine into a verdict (unspecified in paper)."""
-    mixture = paper_family_dataset(k_real, n_points, rng=seed)
-    rows = []
-    for rule in component_values("vote_rule"):
-        world = build_world(
-            mixture, nodes=4, target_splits=16, seed=seed,
-            dataset_name=f"vote-{rule}",
-        )
-        cfg = MRGMeansConfig(
-            seed=seed, alpha=EXPERIMENT_ALPHA, strategy="mapper", vote_rule=rule
-        )
-        result = MRGMeans(world.runtime, cfg).fit(world.dataset)
-        avg, _worst = _quality(world.points, result.centers)
-        rows.append(
-            {
-                "vote_rule": rule,
-                "k_found": result.k_found,
-                "ratio": result.k_found / k_real,
-                "avg_distance": avg,
-                "iterations": result.iterations,
-            }
-        )
-    text = render_table(
-        ["vote rule", "k_found", "ratio", "avg distance", "iterations"],
-        [
-            [r["vote_rule"], r["k_found"], r["ratio"], r["avg_distance"],
-             r["iterations"]]
-            for r in rows
-        ],
+    return _Sweep(
+        "vote_rules", "vote_rule", "vote-",
+        metrics=("k_found", "ratio", "avg_distance", "iterations"),
+        headers=("vote rule", "k_found", "ratio", "avg distance",
+                 "iterations"),
         title="Ablation — mapper-vote combination (more eager rejection"
         " splits more)",
-    )
-    return ExperimentResult(name="ablation_vote_rules", rows=rows, text=text)
+        config={"strategy": "mapper"},
+    ).run(k_real, n_points, seed)
+
+
+def ablation_cache_input(
+    k_real: int = 16,
+    n_points: int = 30_000,
+    seed: int = 31,
+) -> ExperimentResult:
+    """Spark-style in-memory input between chained jobs.
+
+    The disk term is scaled to the dataset size (the paper's full
+    scans cost minutes; see examples/cluster_capacity_planning.py).
+    """
+    return _Sweep(
+        "cache_input", "cache_input", "cache-",
+        metrics=("k_found", "disk_reads", "cached_reads", "time_seconds"),
+        headers=("cache input", "k_found", "disk reads", "cached reads",
+                 "time (sim s)"),
+        title="Ablation — Spark-style dataset caching between chained jobs",
+        cost={"disk_read_mbps": 0.1},
+    ).run(k_real, n_points, seed)
+
+
+def ablation_normality_tests(
+    k_real: int = 16,
+    n_points: int = 30_000,
+    seed: int = 37,
+) -> ExperimentResult:
+    """Anderson-Darling vs the cheaper alternatives.
+
+    Hamerly & Elkan chose Anderson-Darling for its power against the
+    alternatives that matter here (a cluster hiding two modes); this
+    ablation swaps in Jarque-Bera (moments) and Lilliefors (KS) and
+    measures how the discovered clustering changes.
+    """
+    return _Sweep(
+        "normality_tests", "normality_test", "norm-",
+        metrics=("k_found", "ratio", "avg_distance", "ari", "iterations"),
+        headers=("test", "k_found", "ratio", "avg distance", "ARI vs truth",
+                 "iterations"),
+        title="Ablation — normality test powering the split decision",
+    ).run(k_real, n_points, seed)
 
 
 def ablation_anchor_modes(
@@ -259,10 +307,6 @@ def ablation_balanced_partitioning(
     # Make reduce-side work dominate task startup so load imbalance is
     # visible in the phase time (the paper's concern is exactly this
     # regime: heavy reducers serialising the phase).
-    from dataclasses import replace
-
-    from repro.evaluation.harness import BENCH_COST
-
     skew_cost = replace(
         BENCH_COST, seconds_per_ad_point=1e-5, task_startup_seconds=0.0
     )
@@ -353,99 +397,6 @@ def ablation_init_methods(
     return ExperimentResult(name="ablation_init_methods", rows=rows, text=text)
 
 
-def ablation_cache_input(
-    k_real: int = 16,
-    n_points: int = 30_000,
-    seed: int = 31,
-) -> ExperimentResult:
-    """Spark-style in-memory input between chained jobs."""
-    mixture = paper_family_dataset(k_real, n_points, rng=seed)
-    # Scale the disk term to the dataset size (the paper's full scans
-    # cost minutes; see examples/cluster_capacity_planning.py).
-    from dataclasses import replace
-
-    from repro.evaluation.harness import BENCH_COST
-
-    slow_disk = replace(BENCH_COST, disk_read_mbps=0.1)
-    rows = []
-    for cache in component_values("cache_input"):
-        world = build_world(
-            mixture, nodes=4, target_splits=16, seed=seed,
-            dataset_name=f"cache-{cache}", cost=slow_disk,
-        )
-        cfg = MRGMeansConfig(seed=seed, alpha=EXPERIMENT_ALPHA)
-        result = MRGMeans(world.runtime, cfg, cache_input=cache).fit(world.dataset)
-        rows.append(
-            {
-                "cache_input": cache,
-                "k_found": result.k_found,
-                "disk_reads": result.totals.dataset_reads,
-                "cached_reads": result.totals.cached_reads,
-                "time_seconds": result.simulated_seconds,
-            }
-        )
-    text = render_table(
-        ["cache input", "k_found", "disk reads", "cached reads", "time (sim s)"],
-        [
-            [r["cache_input"], r["k_found"], r["disk_reads"], r["cached_reads"],
-             r["time_seconds"]]
-            for r in rows
-        ],
-        title="Ablation — Spark-style dataset caching between chained jobs",
-    )
-    return ExperimentResult(name="ablation_cache_input", rows=rows, text=text)
-
-
-def ablation_normality_tests(
-    k_real: int = 16,
-    n_points: int = 30_000,
-    seed: int = 37,
-) -> ExperimentResult:
-    """Anderson-Darling vs the cheaper alternatives.
-
-    Hamerly & Elkan chose Anderson-Darling for its power against the
-    alternatives that matter here (a cluster hiding two modes); this
-    ablation swaps in Jarque-Bera (moments) and Lilliefors (KS) and
-    measures how the discovered clustering changes.
-    """
-    from repro.clustering.external import adjusted_rand_index
-    from repro.clustering.metrics import assign_nearest as _assign
-
-    mixture = paper_family_dataset(k_real, n_points, rng=seed)
-    rows = []
-    for method in component_values("normality_test"):
-        world = build_world(
-            mixture, nodes=4, target_splits=16, seed=seed,
-            dataset_name=f"norm-{method}",
-        )
-        cfg = MRGMeansConfig(
-            seed=seed, alpha=EXPERIMENT_ALPHA, normality_test=method
-        )
-        result = MRGMeans(world.runtime, cfg).fit(world.dataset)
-        avg, _worst = _quality(world.points, result.centers)
-        labels, _ = _assign(world.points, result.centers)
-        rows.append(
-            {
-                "normality_test": method,
-                "k_found": result.k_found,
-                "ratio": result.k_found / k_real,
-                "avg_distance": avg,
-                "ari": adjusted_rand_index(mixture.labels, labels),
-                "iterations": result.iterations,
-            }
-        )
-    text = render_table(
-        ["test", "k_found", "ratio", "avg distance", "ARI vs truth", "iterations"],
-        [
-            [r["normality_test"], r["k_found"], r["ratio"], r["avg_distance"],
-             r["ari"], r["iterations"]]
-            for r in rows
-        ],
-        title="Ablation — normality test powering the split decision",
-    )
-    return ExperimentResult(name="ablation_normality_tests", rows=rows, text=text)
-
-
 def ablation_cluster_shapes(
     k_real: int = 6,
     n_points: int = 24_000,
@@ -461,8 +412,7 @@ def ablation_cluster_shapes(
     any scale, so k explodes — cleanly, though: real clusters stay
     pure and the merge post-processing recovers them.
     """
-    from repro.clustering.external import adjusted_rand_index, purity as _purity
-    from repro.clustering.metrics import assign_nearest as _assign
+    from repro.clustering.external import purity as _purity
     from repro.data.families import (
         anisotropic_mixture,
         noisy_mixture,
@@ -494,7 +444,7 @@ def ablation_cluster_shapes(
         )
         cfg = MRGMeansConfig(seed=seed, alpha=EXPERIMENT_ALPHA)
         result = MRGMeans(world.runtime, cfg).fit(world.dataset)
-        labels, _ = _assign(world.points, result.centers)
+        labels, _ = assign_nearest(world.points, result.centers)
         clustered = mixture.labels >= 0
         rows.append(
             {
@@ -532,15 +482,13 @@ def ablation_algorithms(
     direct: discovered k, clustering accuracy against the generating
     labels, and total simulated cost.
     """
-    from repro.clustering.external import adjusted_rand_index
-    from repro.clustering.metrics import assign_nearest as _assign
     from repro.core.xmeans_mr import MRXMeans
 
     mixture = paper_family_dataset(k_real, n_points, rng=seed)
     rows = []
 
     def record(label, k_found, centers, totals):
-        labels, _ = _assign(mixture.points, centers)
+        labels, _ = assign_nearest(mixture.points, centers)
         rows.append(
             {
                 "algorithm": label,

@@ -39,7 +39,6 @@ from repro.observability.journal import (
 )
 from repro.observability.replay import (
     RunReplay,
-    left_fold_seconds,
     replay_journal,
     replay_records,
 )
@@ -286,11 +285,6 @@ def metrics_from_replay(replay: RunReplay) -> VariantMetrics:
     """Reduce one replayed journal to the engine's metric vector."""
     summary = summarize_replay(replay)
     cpath = critical_path(replay)
-    failed_attempt_seconds = left_fold_seconds(
-        float(attempt.get("simulated_seconds") or 0.0)
-        for attempt in replay.jobs()
-        if attempt.get("status") != "ok"
-    )
     counter_wasted = float(
         summary.counters.get(_FRAMEWORK, {}).get(_WASTED_COMPUTE_SECONDS, 0.0)
     )
@@ -304,7 +298,7 @@ def metrics_from_replay(replay: RunReplay) -> VariantMetrics:
         shuffle_bytes=int(
             summary.counters.get(_FRAMEWORK, {}).get(_SHUFFLE_BYTES, 0)
         ),
-        wasted_seconds=failed_attempt_seconds + counter_wasted,
+        wasted_seconds=replay.failed_attempt_seconds() + counter_wasted,
         peak_heap_bytes=peak_heap,
         k_found=summary.k_found,
         k_trajectory=summary.k_trajectory,

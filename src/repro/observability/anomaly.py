@@ -570,11 +570,13 @@ def reconcile_anomalies(
 ) -> AnomalyReconciliation:
     """Re-derive a journal's anomaly events and demand exact agreement.
 
-    Walks the records in sequence order, simulating the journal's
-    emission discipline — on a ``span_end`` the nesting stack pops
-    *before* the record is sunk, on a ``span_start`` it pushes *after*
-    — so every derived event carries the exact parent and sequence
-    number the live watchdog's nested emission produced. A recorded
+    Walks the records in sequence order. The live watchdog emits a
+    firing while the triggering record is being sunk: after a
+    ``span_end`` has popped its span off the journal's nesting stack,
+    before a ``span_start`` pushes one. So a derived event's parent is
+    the ended span's parent (read off the detectors' own run model)
+    for a ``span_end``, and the record's own ``parent`` otherwise; its
+    sequence number follows the trigger's. A recorded
     anomaly the detectors don't derive, a derived anomaly the journal
     lacks, or any field-level difference (sequence, parent, attrs) is
     a mismatch.
@@ -589,7 +591,6 @@ def reconcile_anomalies(
     armed = config is not None
     cfg = config if config is not None else AnomalyConfig()
     engine = AnomalyDetectors(cfg)
-    stack: list = []
     expected: list[dict] = []
     recorded: list[dict] = []
     mismatches: list[str] = []
@@ -621,13 +622,6 @@ def reconcile_anomalies(
                 "is missing from the journal"
             )
         pending.clear()
-        if rtype == SPAN_END:
-            span = record.get("span")
-            if span in stack:
-                while stack and stack[-1] != span:
-                    stack.pop()
-                if stack:
-                    stack.pop()
         firings: list[tuple[str, dict]] = []
         if not emitted_config:
             emitted_config = True
@@ -636,7 +630,12 @@ def reconcile_anomalies(
         if armed:
             firings.extend((ANOMALY, attrs) for attrs in derived)
         seq = record.get("seq")
-        parent = stack[-1] if stack else None
+        if rtype == SPAN_END:
+            ended = engine.model.spans.get(record.get("span"))
+            owner = ended.parent if ended is not None else None
+            parent = owner.id if owner is not None else None
+        else:
+            parent = record.get("parent")
         for offset, (name, attrs) in enumerate(firings, start=1):
             derived = {
                 "type": EVENT,
@@ -647,8 +646,6 @@ def reconcile_anomalies(
             }
             expected.append(derived)
             pending.append(derived)
-        if rtype == SPAN_START:
-            stack.append(record.get("span"))
     for want in pending:
         mismatches.append(
             f"derived {want['name']} event (seq {want.get('seq')}) "

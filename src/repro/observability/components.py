@@ -1,21 +1,24 @@
 """The declarative component manifest: every tunable knob in one place.
 
-The ablation engine (:mod:`repro.observability.ablate`), the autotuner
-(:mod:`repro.observability.tune`) and the design-choice ablations
-(:mod:`repro.evaluation.ablations`) all need the same answer to "what
-are the knobs, what is each one's baseline, and what do you flip it
-to?". This module is that single answer: a :class:`Component` per
-knob, collected in :data:`MANIFEST`. Registering a new knob here makes
-it ablatable (``repro ablate``), sweepable (the evaluation ablations
-pull their value lists from here) and — when it maps onto a
-:class:`~repro.observability.whatif.Scenario` key — tunable
-(``repro tune``) with no further wiring.
+The ablation engine (:mod:`repro.observability.ablate`) and the
+design-choice ablations (:mod:`repro.evaluation.ablations`) both need
+the same answer to "what are the knobs, what is each one's baseline,
+and what do you flip it to?". This module is that single answer: a
+:class:`Component` per knob, collected in :data:`MANIFEST`.
+Registering a new knob here makes it ablatable (``repro ablate``) and
+sweepable (the evaluation ablations pull their value lists and targets
+from here) with no further wiring.
 
 Each component names a dotted ``target`` telling the harness where the
 value lands:
 
 ``gmeans.<field>``
     an :class:`~repro.core.config.MRGMeansConfig` field;
+``driver.<field>``
+    an :class:`~repro.core.gmeans_mr.MRGMeans` constructor argument
+    (e.g. ``cache_input``);
+``kmeans.<field>``
+    an :class:`~repro.core.kmeans_mr.MRKMeans` constructor argument;
 ``runtime.<field>``
     a :class:`~repro.mapreduce.runtime.MapReduceRuntime` constructor
     argument (e.g. ``locality``);
@@ -53,11 +56,7 @@ class Component:
     ``baseline`` is the engine's reference value; ``flips`` are the
     single-flip variants ``repro ablate`` runs against it. ``sweep`` is
     the full ordered value list the evaluation ablations iterate
-    (defaults to ``(baseline,) + flips``). ``scenario_key`` names the
-    :class:`~repro.observability.whatif.Scenario` field this knob maps
-    onto, when the what-if predictor can model it — that is what makes
-    the knob searchable by ``repro tune`` without a re-run per
-    candidate.
+    (defaults to ``(baseline,) + flips``).
     """
 
     name: str
@@ -71,7 +70,6 @@ class Component:
     #: components merely contribute their sweep to
     #: :mod:`repro.evaluation.ablations`.
     engine: bool = True
-    scenario_key: "str | None" = None
     #: Human-readable rendering of a flipped value (e.g. the
     #: checkpointing component flips a directory name but reads "on").
     flip_labels: "dict[object, str]" = field(default_factory=dict)
@@ -140,7 +138,6 @@ MANIFEST: "tuple[Component, ...]" = (
         target="gmeans.use_combiner",
         baseline=True,
         flips=(False,),
-        scenario_key="combiner",
     ),
     Component(
         name="test_strategy",
@@ -187,7 +184,6 @@ MANIFEST: "tuple[Component, ...]" = (
         target="workload.split_factor",
         baseline=1.0,
         flips=(0.5, 2.0),
-        scenario_key="split_factor",
     ),
     Component(
         name="executor",

@@ -82,7 +82,6 @@ FAULT_EVENTS = (
     "node_blacklisted",
     "tasks_rescheduled",
     "strategy_redecision",
-    "tune_decision",
     "anomaly",
     "anomaly_config",
 )

@@ -1,6 +1,6 @@
 """Cross-run registry: a directory of journals as a queryable warehouse.
 
-``repro report RUNDIR`` scans a directory for journal files
+``repro dashboard RUNDIR`` scans a directory for journal files
 (``*.jsonl``), reduces each to one :class:`RunEntry` — the
 :class:`~repro.observability.diffing.RunSummary` the diff gate already
 uses, plus the critical-path blame breakdown, wasted-compute
@@ -95,13 +95,6 @@ def entry_from_replay(label: str, path: str, replay: RunReplay) -> RunEntry:
             error = str(run.get("error") or "error")
             if error == "SLOViolationError":
                 slo_abort = True
-    wasted_attempts = 0
-    wasted_seconds = 0.0
-    for attempt in replay.jobs():
-        if attempt.get("status") == "ok":
-            continue
-        wasted_attempts += 1
-        wasted_seconds += float(attempt.get("simulated_seconds") or 0.0)
     return RunEntry(
         label=label,
         path=path,
@@ -110,8 +103,8 @@ def entry_from_replay(label: str, path: str, replay: RunReplay) -> RunEntry:
         reconciled=cpath.reconciled,
         slo_abort=slo_abort,
         error=error,
-        wasted_attempts=wasted_attempts,
-        wasted_seconds=wasted_seconds,
+        wasted_attempts=len(replay.failed_jobs()),
+        wasted_seconds=replay.failed_attempt_seconds(),
         anomalies=replay.anomaly_counts(),
     )
 
@@ -159,76 +152,42 @@ def _bar(value: float, peak: float, width: int = _BAR_WIDTH) -> str:
     return "#" * max(1 if value > 0 else 0, int(round(value / peak * width)))
 
 
-def _ablation_section(ablation: "dict | None", tune: "dict | None") -> "list[str]":
-    """The "Ablations & tuning" dashboard lines (empty when neither
-    report exists under ``reports/``)."""
-    if not ablation and not tune:
+def _ablation_section(ablation: "dict | None") -> "list[str]":
+    """The "Ablations & tuning" dashboard lines (empty when no
+    ablation report exists under ``reports/``)."""
+    if not ablation:
         return []
-    lines = ["", "## Ablations & tuning", ""]
-    if ablation:
-        variants = ablation.get("variants", [])
-        ranked = sorted(
-            variants, key=lambda v: -abs(v.get("delta_makespan", 0.0))
+    variants = ablation.get("variants", [])
+    ranked = sorted(variants, key=lambda v: -abs(v.get("delta_makespan", 0.0)))
+    lines = [
+        "",
+        "## Ablations & tuning",
+        "",
+        f"Latest importance report (`repro ablate`): "
+        f"{len(variants)} single-flip variants, "
+        f"{'fully reconciled' if ablation.get('ok') else '**NOT RECONCILED**'}.",
+        "",
+        "| rank | flip | Δ makespan (s) | Δ makespan | invariant |",
+        "|---:|---|---:|---:|---|",
+    ]
+    for rank, v in enumerate(ranked, start=1):
+        invariant = (
+            ("ok" if v.get("invariant_ok") else "**VIOLATED**")
+            if v.get("simulated_invariant")
+            else "-"
         )
-        lines += [
-            f"Latest importance report (`repro ablate`): "
-            f"{len(variants)} single-flip variants, "
-            f"{'fully reconciled' if ablation.get('ok') else '**NOT RECONCILED**'}.",
-            "",
-            "| rank | flip | Δ makespan (s) | Δ makespan | invariant |",
-            "|---:|---|---:|---:|---|",
-        ]
-        for rank, v in enumerate(ranked, start=1):
-            invariant = (
-                ("ok" if v.get("invariant_ok") else "**VIOLATED**")
-                if v.get("simulated_invariant")
-                else "-"
-            )
-            lines.append(
-                f"| {rank} | {v.get('component')}={v.get('label')} "
-                f"| {v.get('delta_makespan', 0.0):+.3f} "
-                f"| {v.get('delta_fraction', 0.0) * 100:+.1f}% "
-                f"| {invariant} |"
-            )
-        lines.append("")
-    if tune:
-        winner = tune.get("winner")
         lines.append(
-            f"Latest autotune (`repro tune`): "
-            f"{len(tune.get('predictions', []))} candidates predicted from "
-            f"one baseline journal, {len(tune.get('validated', []))} "
-            "validated by re-runs."
+            f"| {rank} | {v.get('component')}={v.get('label')} "
+            f"| {v.get('delta_makespan', 0.0):+.3f} "
+            f"| {v.get('delta_fraction', 0.0) * 100:+.1f}% "
+            f"| {invariant} |"
         )
-        if winner:
-            cand = winner.get("candidate", {})
-            improvement = tune.get("improvement_fraction")
-            lines.append(
-                f"- winner: nodes={cand.get('nodes')}, "
-                f"combiner={'on' if cand.get('combiner') else 'off'}, "
-                f"split_factor={cand.get('split_factor')} — "
-                f"{winner.get('actual_seconds', 0.0):.3f}s validated"
-                + (
-                    f" ({improvement * 100:+.1f}% vs baseline)"
-                    if improvement is not None
-                    else ""
-                )
-            )
-            lines.append(
-                f"- prediction error {winner.get('rel_error', 0.0):.4f} "
-                f"against the {tune.get('budget')} budget "
-                f"({'within' if tune.get('ok') else '**EXCEEDED**'}); "
-                "winning config in `best-config.json`"
-            )
-        lines.append("")
-    if lines[-1] == "":
-        lines.pop()
     return lines
 
 
 def render_dashboard(
     entries: "list[RunEntry]",
     ablation: "dict | None" = None,
-    tune: "dict | None" = None,
 ) -> str:
     """Longitudinal markdown dashboard over the registry's runs."""
     lines = [
@@ -318,7 +277,7 @@ def render_dashboard(
             lines.append(f"- `{entry.label}`: " + ", ".join(bits))
     if not any_history:
         lines.append("- no faults, aborts or SLO breaches recorded")
-    lines += _ablation_section(ablation, tune)
+    lines += _ablation_section(ablation)
     lines.append("")
     return "\n".join(lines)
 
@@ -326,7 +285,6 @@ def render_dashboard(
 def render_dashboard_html(
     entries: "list[RunEntry]",
     ablation: "dict | None" = None,
-    tune: "dict | None" = None,
 ) -> str:
     """Self-contained HTML wrapper around the markdown dashboard.
 
@@ -334,7 +292,7 @@ def render_dashboard_html(
     verbatim in a ``<pre>`` (tables and code fences read fine
     monospaced), so the page needs no converter and no JS.
     """
-    body = html.escape(render_dashboard(entries, ablation=ablation, tune=tune))
+    body = html.escape(render_dashboard(entries, ablation=ablation))
     return (
         "<!doctype html>\n"
         "<html><head><meta charset='utf-8'>"
@@ -357,14 +315,12 @@ def write_report(
 
     Returns a mapping of artifact kind (``index`` / ``markdown`` /
     ``html``) to the written path. When ``out_dir`` holds the ablation
-    engine's ``ablation.json`` / ``tune.json`` (see ``repro ablate`` /
-    ``repro tune``), the dashboard gains an "Ablations & tuning"
-    section rendering them; a missing or unreadable report simply
-    leaves the section out.
+    engine's ``ablation.json`` (see ``repro ablate``), the dashboard
+    gains an "Ablations & tuning" section rendering it; a missing or
+    unreadable report simply leaves the section out.
     """
     entries = scan_registry(rundir)
     ablation = _load_optional_report(os.path.join(out_dir, "ablation.json"))
-    tune = _load_optional_report(os.path.join(out_dir, "tune.json"))
     os.makedirs(out_dir, exist_ok=True)
     written: dict[str, str] = {}
     index_path = os.path.join(out_dir, f"{basename}-index.json")
@@ -374,20 +330,20 @@ def write_report(
     written["index"] = index_path
     markdown_path = os.path.join(out_dir, f"{basename}.md")
     with open(markdown_path, "w", encoding="utf-8") as handle:
-        handle.write(render_dashboard(entries, ablation=ablation, tune=tune))
+        handle.write(render_dashboard(entries, ablation=ablation))
     written["markdown"] = markdown_path
     if with_html:
         html_path = os.path.join(out_dir, f"{basename}.html")
         with open(html_path, "w", encoding="utf-8") as handle:
             handle.write(
-                render_dashboard_html(entries, ablation=ablation, tune=tune)
+                render_dashboard_html(entries, ablation=ablation)
             )
         written["html"] = html_path
     return written
 
 
 def _load_optional_report(path: str) -> "dict | None":
-    """Load an ablation/tune report JSON if present and well-formed."""
+    """Load an ablation report JSON if present and well-formed."""
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)

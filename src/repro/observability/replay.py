@@ -295,6 +295,19 @@ class RunReplay:
     def successful_jobs(self) -> "list[SpanNode]":
         return [job for job in self.jobs() if job.get("status") == "ok"]
 
+    def failed_jobs(self) -> "list[SpanNode]":
+        """Every job attempt that did not end ``ok`` (failed, or cut
+        off by the end of the journal)."""
+        return [job for job in self.jobs() if job.get("status") != "ok"]
+
+    def failed_attempt_seconds(self) -> float:
+        """Simulated seconds spent on failed job attempts: compute the
+        runtime discards, recoverable only from the journal."""
+        return left_fold_seconds(
+            float(job.get("simulated_seconds") or 0.0)
+            for job in self.failed_jobs()
+        )
+
     def restored_baselines(self) -> "list[EventRecord]":
         """``checkpoint_restore`` events carry the totals a resumed run
         inherited; replay accounting must add them back in."""

@@ -1,4 +1,4 @@
-"""The ablation/tune engines ride the determinism contract.
+"""The ablation engine rides the determinism contract.
 
 An importance report contains only simulated, replay-accounted fields,
 so the same seeded grid must serialize byte-identically no matter which
@@ -14,7 +14,6 @@ from repro.observability.ablate import (
     run_ablation,
     write_importance,
 )
-from repro.observability.tune import default_tune_spec, run_tune
 
 BACKENDS = ("serial", "processes")
 
@@ -36,17 +35,6 @@ def test_ablation_report_byte_identical_across_backends(
     assert json.loads(reference)["ok"]
     for backend in BACKENDS[1:]:
         assert grid_bytes(tmp_path, backend, monkeypatch) == reference, backend
-
-
-def test_tune_report_identical_across_backends(monkeypatch):
-    spec = default_tune_spec(n_points=1200)
-    results = {}
-    for backend in BACKENDS:
-        monkeypatch.setenv("REPRO_EXECUTOR", backend)
-        report = run_tune(spec, top_n=2)
-        results[backend] = json.dumps(report.as_dict(), sort_keys=True)
-    assert results["serial"] == results["processes"]
-    assert json.loads(results["serial"])["ok"]
 
 
 def test_full_grid_infrastructure_rows_confirm_invariance():

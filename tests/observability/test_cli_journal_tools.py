@@ -261,7 +261,7 @@ def test_diff_unreadable_journal_exits_two(journal_path, capsys):
     assert main(["diff", journal_path, "nope.jsonl"]) == 2
 
 
-# -- repro ablate / repro tune -------------------------------------------
+# -- repro ablate -------------------------------------------------------
 
 
 def test_ablate_cli_list_components(capsys):
@@ -320,32 +320,7 @@ def test_ablate_cli_check_without_report_exits_two(tmp_path, capsys):
     assert "cannot load importance report" in capsys.readouterr().err
 
 
-def test_tune_cli_writes_config_and_check_verifies(tmp_path, capsys):
-    out_dir = str(tmp_path / "reports")
-    assert (
-        main(
-            [
-                "tune",
-                "--points", "1200",
-                "--top", "2",
-                "--out-dir", out_dir,
-                "--bench-json", f"{out_dir}/BENCH_cli.json",
-            ]
-        )
-        == 0
-    )
-    captured = capsys.readouterr()
-    assert "# Autotune report" in captured.out
-    best = json.load(open(f"{out_dir}/best-config.json", encoding="utf-8"))
-    assert best["within_budget"] is True
-    bench = json.load(open(f"{out_dir}/BENCH_cli.json", encoding="utf-8"))
-    assert bench["benchmark"] == "autotune"
-    assert bench["metrics"]["within_budget"] is True
-
-    assert main(["tune", "--check", "--out-dir", out_dir]) == 0
-    assert "reconcile exactly" in capsys.readouterr().out
-
-
-def test_tune_cli_check_without_report_exits_two(tmp_path, capsys):
-    assert main(["tune", "--check", "--out-dir", str(tmp_path)]) == 2
-    assert "cannot load tune report" in capsys.readouterr().err
+def test_tune_verb_is_gone():
+    with pytest.raises(SystemExit) as excinfo:
+        main(["tune"])
+    assert excinfo.value.code == 2

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro.cli import main
 from repro.observability.registry import (
     INDEX_SCHEMA_VERSION,
     RegistryError,
@@ -132,43 +133,21 @@ def _ablation_fixture() -> dict:
     }
 
 
-def _tune_fixture() -> dict:
-    return {
-        "ok": True,
-        "budget": 0.02,
-        "predictions": [{}] * 18,
-        "validated": [{}] * 3,
-        "improvement_fraction": 0.01,
-        "winner": {
-            "candidate": {"nodes": 8, "combiner": True, "split_factor": 1.0},
-            "actual_seconds": 3.5,
-            "rel_error": 0.001,
-        },
-    }
-
-
 def test_dashboard_without_reports_has_no_ablation_section(rundir):
     assert "## Ablations & tuning" not in render_dashboard(scan_registry(rundir))
 
 
-def test_dashboard_renders_ablation_and_tune_reports(rundir):
-    text = render_dashboard(
-        scan_registry(rundir),
-        ablation=_ablation_fixture(),
-        tune=_tune_fixture(),
-    )
+def test_dashboard_renders_ablation_report(rundir):
+    text = render_dashboard(scan_registry(rundir), ablation=_ablation_fixture())
     assert "## Ablations & tuning" in text
     assert "| 1 | combiner=off | +0.500 | +2.0% | - |" in text
     assert "| 2 | executor=processes | +0.000 | +0.0% | ok |" in text
-    assert "winner: nodes=8, combiner=on, split_factor=1.0" in text
-    assert "prediction error 0.0010 against the 0.02 budget (within)" in text
 
 
 def test_write_report_picks_up_reports_in_out_dir(rundir, tmp_path):
     out = tmp_path / "reports"
     out.mkdir()
     (out / "ablation.json").write_text(json.dumps(_ablation_fixture()))
-    (out / "tune.json").write_text(json.dumps(_tune_fixture()))
     (out / "unparseable.json").write_text("{nope")
     written = write_report(rundir, out_dir=str(out))
     markdown = open(written["markdown"], encoding="utf-8").read()
@@ -180,11 +159,27 @@ def test_write_report_picks_up_reports_in_out_dir(rundir, tmp_path):
 def test_write_report_tolerates_corrupt_reports(rundir, tmp_path):
     out = tmp_path / "reports"
     out.mkdir()
-    (out / "ablation.json").write_text("{not json")
-    (out / "tune.json").write_text(json.dumps(["not", "a", "dict"]))
-    written = write_report(rundir, out_dir=str(out))
-    markdown = open(written["markdown"], encoding="utf-8").read()
-    assert "## Ablations & tuning" not in markdown
+    for corrupt in ("{not json", json.dumps(["not", "a", "dict"])):
+        (out / "ablation.json").write_text(corrupt)
+        written = write_report(rundir, out_dir=str(out))
+        markdown = open(written["markdown"], encoding="utf-8").read()
+        assert "## Ablations & tuning" not in markdown
+
+
+def test_dashboard_cli_writes_the_registry_artifacts(rundir, tmp_path, capsys):
+    out = str(tmp_path / "reports")
+    assert main(["dashboard", rundir, "--out-dir", out, "--no-html"]) == 0
+    assert sorted(os.listdir(out)) == ["dashboard-index.json", "dashboard.md"]
+    assert main(["dashboard", str(tmp_path / "missing"), "--out-dir", out]) == 1
+    assert "cannot build registry report" in capsys.readouterr().err
+
+
+def test_report_no_longer_takes_a_rundir(rundir):
+    # The registry renders under `repro dashboard`; a RUNDIR given to
+    # `repro report` must fail loudly, not run every experiment.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["report", rundir])
+    assert excinfo.value.code == 2
 
 
 def test_scan_rejects_bad_directories(tmp_path):
