@@ -100,9 +100,11 @@ analyze:
 # directory, then render the longitudinal dashboard. Everything the
 # dashboard reads is simulated time, so regenerating it reproduces the
 # committed reports/dashboard.* byte-for-byte unless behaviour changed.
+# Each journal is re-recorded beside the old one and replaces it only
+# when its canonical records changed, so an unchanged run leaves the
+# committed file (wall-clock fields included) untouched.
 RUNS_DIR ?= reports/runs
 report:
-	rm -rf $(RUNS_DIR)
 	mkdir -p $(RUNS_DIR)
 	$(PYTHON) examples/run_with_journal.py $(RUNS_DIR)/01-clean.jsonl
 	REPRO_TASK_FAILURE_PROB=0.05 \
@@ -121,7 +123,8 @@ report:
 # The self-driving ablation grid: a seeded baseline plus one run per
 # engine flip, importance scored purely from replay accounting, then
 # the committed report re-verified against its journals (--check
-# replays every journal and recomputes every delta bit-for-bit).
+# replays every journal and recomputes every delta bit-for-bit). A
+# journal whose canonical records did not change is kept as it was.
 # Exits non-zero if any run fails to reconcile or an infrastructure
 # flip moves a simulated metric.
 ABLATE_POINTS ?= 3000

@@ -19,6 +19,10 @@ ones)::
 An optional second argument scales the dataset (default 6000 points) —
 the CI live-smoke job uses a larger run so there is time to scrape the
 metrics endpoint mid-flight.
+
+Recording over an existing journal replaces it only when the run's
+canonical records changed, so re-running a seeded recipe (``make
+report``) leaves journals whose behaviour did not change untouched.
 """
 
 import os
@@ -35,7 +39,7 @@ from repro import (
 )
 from repro.cli import EXIT_SLO_BREACH
 from repro.common.errors import SLOViolationError
-from repro.observability import JOURNAL_ENV
+from repro.observability import JOURNAL_ENV, replace_journal
 
 TRUE_K = 6
 
@@ -47,8 +51,14 @@ def main() -> int:
     # Publish the journal path through the environment instead of
     # constructing a file sink directly: Journal.from_env composes the
     # file journal with whatever live telemetry the environment asks
-    # for (REPRO_LIVE / REPRO_METRICS_PORT / REPRO_SLO).
-    os.environ[JOURNAL_ENV] = journal_path
+    # for (REPRO_LIVE / REPRO_METRICS_PORT / REPRO_SLO). An existing
+    # journal is re-recorded beside itself and kept if nothing changed.
+    fresh = journal_path
+    if os.path.exists(journal_path):
+        fresh = journal_path + ".new"
+        if os.path.exists(fresh):
+            os.unlink(fresh)
+    os.environ[JOURNAL_ENV] = fresh
 
     mixture = generate_gaussian_mixture(
         n_points=n_points, n_clusters=TRUE_K, dimensions=4, rng=42
@@ -68,6 +78,10 @@ def main() -> int:
         # its own exit code so CI can tell it from a crash.
         print(f"[repro] {exc}", file=sys.stderr)
         return EXIT_SLO_BREACH
+    finally:
+        runtime.journal.close()
+        if fresh != journal_path:
+            replace_journal(fresh, journal_path)
 
     print(f"true k:              {TRUE_K}")
     print(f"k found:             {result.k_found}")

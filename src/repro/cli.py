@@ -715,7 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         metavar="KEY=VALUE",
         help="scenario knob, repeatable: nodes, num_workers, map_slots, "
-        "reduce_slots, combiner (on/off), split_factor, scheduler "
+        "reduce_slots, combiner (on/off), scheduler "
         "(recorded/lpt) — e.g. --set num_workers=8 --set combiner=off",
     )
     p_whatif.add_argument(

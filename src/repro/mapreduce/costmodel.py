@@ -12,6 +12,12 @@ cost model with calibratable constants, and schedules tasks onto the
 cluster's slots with an LPT (longest-processing-time-first) greedy
 assignment to obtain a makespan. Simulated time then exhibits exactly
 the scaling behaviour the paper measures.
+
+Every duration that enters the simulated clock is put on a grid of
+:data:`CLOCK_TICK` seconds by :func:`quantize`. float64 adds whole
+multiples of 2**-30 exactly while a total stays below 2**23 s (about
+97 days), so every job total, run total and partial sum is the same in
+any summation order (``sum()``, ``math.fsum``, a compensated ``sum()``).
 """
 
 from __future__ import annotations
@@ -27,6 +33,15 @@ from repro.mapreduce.counters import (
     MRCounter,
     UserCounter,
 )
+
+#: Resolution of the simulated clock: 2**-30 s, about 0.93 ns.
+CLOCK_TICK = 2.0**-30
+
+
+def quantize(seconds: float) -> float:
+    """``seconds`` rounded to a whole number of clock ticks (both steps
+    are exact in float64, so an on-grid value comes back unchanged)."""
+    return round(seconds / CLOCK_TICK) * CLOCK_TICK
 
 
 @dataclass(frozen=True)
@@ -175,7 +190,7 @@ class CostModel:
         read = 0.0 if cached else input_bytes / (p.disk_read_mbps * MIB)
         records = task_counters.get(FRAMEWORK_GROUP, MRCounter.MAP_INPUT_RECORDS)
         out = task_counters.get(FRAMEWORK_GROUP, MRCounter.MAP_OUTPUT_RECORDS)
-        return (
+        return quantize(
             p.task_startup_seconds
             + read
             + records * p.seconds_per_map_record
@@ -187,7 +202,7 @@ class CostModel:
         """Simulated duration of one reduce task (excluding shuffle)."""
         p = self.params
         records = task_counters.get(FRAMEWORK_GROUP, MRCounter.REDUCE_INPUT_RECORDS)
-        return (
+        return quantize(
             p.task_startup_seconds
             + records * p.seconds_per_reduce_record
             + self._user_cpu_seconds(task_counters)
@@ -205,7 +220,7 @@ class CostModel:
         """
         node_count = self.cluster.nodes if nodes is None else max(1, int(nodes))
         bandwidth = self.params.network_mbps_per_node * node_count * MIB
-        return shuffle_bytes / bandwidth
+        return quantize(shuffle_bytes / bandwidth)
 
     def job_timing(
         self,
@@ -235,9 +250,9 @@ class CostModel:
                 self.cluster.total_map_slots if map_slots is None else map_slots,
             )
         else:
-            map_seconds = map_makespan_override
+            map_seconds = quantize(map_makespan_override)
         return JobTiming(
-            startup_seconds=self.params.job_startup_seconds,
+            startup_seconds=quantize(self.params.job_startup_seconds),
             map_seconds=map_seconds,
             shuffle_seconds=self.shuffle_seconds(shuffle_bytes, nodes=nodes),
             reduce_seconds=makespan(

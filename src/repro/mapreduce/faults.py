@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.common.errors import ConfigurationError, ReproError
 from repro.common.validation import check_in_range, check_positive
+from repro.mapreduce.costmodel import quantize
 from repro.mapreduce.counters import Counters, FRAMEWORK_GROUP, MRCounter
 
 #: Environment variables consulted by :meth:`FaultModel.from_env` (the
@@ -163,10 +164,11 @@ class FaultModel:
             duration = base_seconds
             speculated = False
             if rng.random() < self.straggler_probability:
-                slowed = base_seconds * self.straggler_slowdown
+                slowed = quantize(base_seconds * self.straggler_slowdown)
                 if self.speculative_execution:
                     duration = min(
-                        slowed, base_seconds * self.speculative_overhead
+                        slowed,
+                        quantize(base_seconds * self.speculative_overhead),
                     )
                     speculated = True
                 else:
@@ -189,11 +191,10 @@ class FaultModel:
             counters.inc(FRAMEWORK_GROUP, TASK_FAILURES)
             # The attempt died mid-flight; a clone racing it dies with
             # it, having burned the same half duration in parallel.
-            wasted = duration * 0.5
-            if speculated:
-                wasted += duration * 0.5
+            half = quantize(duration * 0.5)
+            wasted = half + half if speculated else half
             counters.inc(
                 FRAMEWORK_GROUP, MRCounter.WASTED_COMPUTE_SECONDS, wasted
             )
-            total += duration * 0.5  # the attempt died mid-flight
+            total += half
         raise TaskPermanentlyFailedError(task_id, self.max_attempts)

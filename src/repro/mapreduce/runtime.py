@@ -55,7 +55,7 @@ from repro.mapreduce.faults import (
     TaskPermanentlyFailedError,
 )
 from repro.mapreduce.cluster import ClusterConfig, MIB, PAPER_CLUSTER
-from repro.mapreduce.costmodel import CostModel, CostParameters, JobTiming
+from repro.mapreduce.costmodel import CostModel, CostParameters, JobTiming, quantize
 from repro.mapreduce.counters import (
     Counters,
     FRAMEWORK_GROUP,
@@ -326,7 +326,7 @@ class MapReduceRuntime:
         delay = cfg.retry_backoff_seconds * cfg.retry_backoff_factor ** (retry - 1)
         if cfg.retry_jitter:
             delay *= 1.0 + cfg.retry_jitter * float(self._fault_rng.random())
-        return delay
+        return quantize(delay)
 
     def _capacity_attrs(self) -> dict:
         """Live-capacity attributes stamped on node lifecycle events."""
@@ -361,6 +361,7 @@ class MapReduceRuntime:
             return 0.0, frozenset(), pre_nodes
         journal = self.journal
         params = self.cost_model.params
+        heartbeat = quantize(model.heartbeat_timeout_seconds)
         overhead = 0.0
         lost: list[int] = []
         for kind, node_id in events:
@@ -379,13 +380,13 @@ class MapReduceRuntime:
             # Death is detected one heartbeat timeout after the fact;
             # the namenode then re-replicates everything the node held
             # in one correlated batch.
-            overhead += model.heartbeat_timeout_seconds
+            overhead += heartbeat
             report = self.dfs.fail_node(node_id)
             journal.event(
                 "node_lost",
                 node=node_id,
                 deaths=node.deaths,
-                heartbeat_timeout_seconds=model.heartbeat_timeout_seconds,
+                heartbeat_timeout_seconds=heartbeat,
                 blocks_lost=report.blocks_lost,
                 **self._capacity_attrs(),
             )
@@ -411,8 +412,8 @@ class MapReduceRuntime:
                     copies=report.re_replications,
                     bytes=report.bytes_re_replicated,
                 )
-                overhead += report.bytes_re_replicated / (
-                    params.disk_write_mbps * MIB
+                overhead += quantize(
+                    report.bytes_re_replicated / (params.disk_write_mbps * MIB)
                 )
         return overhead, frozenset(lost), pre_nodes
 
@@ -544,9 +545,9 @@ class MapReduceRuntime:
                 "re_replication", file=f.name, bytes=report.bytes_re_replicated
             )
         params = self.cost_model.params
-        return report.extra_bytes_read / (params.disk_read_mbps * MIB) + (
-            report.bytes_re_replicated / (params.disk_write_mbps * MIB)
-        )
+        return quantize(
+            report.extra_bytes_read / (params.disk_read_mbps * MIB)
+        ) + quantize(report.bytes_re_replicated / (params.disk_write_mbps * MIB))
 
     @staticmethod
     def _shuffle_skew_attrs(job: Job, buckets: list) -> dict:
@@ -775,12 +776,13 @@ class MapReduceRuntime:
                     # The task was stranded on a node that died mid-run:
                     # it burned half its duration before the heartbeat
                     # layer noticed, then re-ran in full on a survivor.
+                    stranded = quantize(seconds * 0.5)
                     task.counters.inc(
                         FRAMEWORK_GROUP,
                         MRCounter.WASTED_COMPUTE_SECONDS,
-                        seconds * 0.5,
+                        stranded,
                     )
-                    seconds *= 1.5
+                    seconds += stranded
                     rescheduled += 1
                 map_seconds.append(seconds)
                 self._journal_task(spec.task_id, split.index, seconds, task)

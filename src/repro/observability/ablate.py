@@ -36,6 +36,7 @@ from repro.observability.journal import (
     FileJournalSink,
     InMemoryJournalSink,
     Journal,
+    replace_journal,
 )
 from repro.observability.replay import (
     RunReplay,
@@ -44,7 +45,8 @@ from repro.observability.replay import (
 )
 
 #: ``ablation.json`` schema version, bumped on incompatible changes.
-ABLATION_SCHEMA_VERSION = 1
+#: v2 removed the ``residual`` blame category.
+ABLATION_SCHEMA_VERSION = 2
 
 
 class AblationError(ValueError):
@@ -85,6 +87,8 @@ class WorkloadSpec:
     max_job_retries: int = 2
     network_mbps_per_node: float = 0.5
     task_startup_seconds: float = 0.05
+    #: DFS split count relative to ``target_splits``.
+    split_factor: float = 1.0
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -109,6 +113,7 @@ def _resolve_overrides(
         "runtime": {},
         "faults": {},
         "config": {},
+        "dfs": {},
         "workload": {},
     }
     for name, value in overrides.items():
@@ -131,8 +136,9 @@ def run_workload(
 
     ``overrides`` maps component names to values; everything else is
     pinned by the spec. With ``journal_path`` the journal is written
-    to disk (any existing file is replaced); without it the run is
-    journalled in memory only.
+    to disk, replacing an existing file unless both record the same run
+    (:func:`~repro.observability.journal.replace_journal`); without it
+    the run is journalled in memory only.
     """
     # Heavyweight imports stay local: repro.observability must be
     # importable without dragging the whole algorithm stack in.
@@ -153,10 +159,9 @@ def run_workload(
     runtime_over = buckets["runtime"]
     faults_over = buckets["faults"]
     config_over = buckets["config"]
-    workload_over = buckets["workload"]
+    spec = replace(spec, **buckets["workload"])
 
-    split_factor = float(workload_over.get("split_factor", 1.0))
-    target_splits = max(1, int(round(spec.target_splits * split_factor)))
+    target_splits = max(1, int(round(spec.target_splits * spec.split_factor)))
     mixture = generate_gaussian_mixture(
         n_points=spec.n_points,
         n_clusters=spec.k_real,
@@ -174,9 +179,7 @@ def run_workload(
     # it names. The plane is the DFS's choice, made at write time.
     env_config = RuntimeConfig.from_env()
     executor = str(config_over.get("executor", env_config.executor))
-    dfs = InMemoryDFS(
-        split_size_bytes=split_bytes, data_plane=config_over.get("data_plane")
-    )
+    dfs = InMemoryDFS(split_size_bytes=split_bytes, **buckets["dfs"])
     dataset = write_points(dfs, spec.name, mixture.points)
     cluster = ClusterConfig(
         nodes=spec.nodes,
@@ -206,9 +209,12 @@ def run_workload(
         task_startup_seconds=spec.task_startup_seconds,
     )
     if journal_path:
-        if os.path.exists(journal_path):
-            os.unlink(journal_path)
-        sink = FileJournalSink(journal_path)
+        # Recorded beside the old journal, which is kept unless the
+        # run's canonical records changed.
+        fresh = journal_path + ".new"
+        if os.path.exists(fresh):
+            os.unlink(fresh)
+        sink = FileJournalSink(fresh)
     else:
         sink = InMemoryJournalSink()
     journal = Journal(sink)
@@ -235,6 +241,8 @@ def run_workload(
         MRGMeans(runtime, cfg).fit(dataset)
     finally:
         journal.close()
+        if journal_path:
+            replace_journal(fresh, journal_path)
     if journal_path:
         return replay_journal(journal_path)
     return replay_records(sink.records)

@@ -268,8 +268,9 @@ class JobResidual:
 #: Version of the ``repro analyze --json`` payload (its ``schema_version``
 #: key), bumped on incompatible shape changes. v2 added the key itself
 #: plus the ``anomalies`` section (the journal's recorded in-flight
-#: detector firings); consumers should reject versions they don't know.
-ANALYZE_SCHEMA_VERSION = 2
+#: detector firings); v3 removed ``critical.blame.residual``.
+#: Consumers should reject versions they don't know.
+ANALYZE_SCHEMA_VERSION = 3
 
 
 @dataclass

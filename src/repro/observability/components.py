@@ -26,8 +26,12 @@ value lands:
     a :class:`~repro.mapreduce.faults.FaultModel` field;
 ``config.<field>``
     a :class:`~repro.mapreduce.executors.RuntimeConfig` field;
+``dfs.<field>``
+    an :class:`~repro.mapreduce.hdfs.InMemoryDFS` constructor argument
+    (e.g. ``data_plane``);
 ``workload.<field>``
-    a property of the generated workload itself (e.g. ``split_factor``
+    a :class:`~repro.observability.ablate.WorkloadSpec` field, a
+    property of the generated workload itself (e.g. ``split_factor``
     scales the DFS split count).
 
 Components in the ``infrastructure`` layer are *simulated-invariant*:
@@ -198,7 +202,7 @@ MANIFEST: "tuple[Component, ...]" = (
         description="pickled copies vs zero-copy shared memory "
         "(wall-clock only)",
         layer="infrastructure",
-        target="config.data_plane",
+        target="dfs.data_plane",
         baseline="pickled",
         flips=("shared",),
     ),

@@ -14,18 +14,21 @@ durations (:func:`repro.mapreduce.costmodel.critical_chain`).
 Exact-reconciliation guarantee
 ------------------------------
 
-:attr:`CriticalPath.total_seconds` is computed with the *same float
-summation order* as
+The runtime puts every duration on the simulated clock's grid
+(:func:`repro.mapreduce.costmodel.quantize`), and float64 adds on-grid
+values exactly. So :attr:`CriticalPath.total_seconds`, the per-segment
+``start``/``end`` placements and
 :meth:`repro.observability.replay.RunReplay.total_simulated_seconds`
-(left-fold over restores, then left-fold over successful jobs), and
-the per-segment ``start``/``end`` placements are the intermediate
-partial sums of that very fold — so the critical-path length equals
-the journalled simulated makespan bit for bit, and every second of
-makespan is attributed to a named segment. The *blame* breakdown is a
-derived decomposition of each segment (categories below) whose sum
-matches the total up to float association; any unexplained overhead
-lands in the explicit ``recovery`` remainder instead of being silently
-absorbed.
+are exact sums that agree bit for bit in any summation order: the
+critical-path length equals the journalled simulated makespan, and
+every second of makespan is attributed to a named segment. The
+*blame* breakdown is a derived decomposition of each segment
+(categories below); the compute/straggler split divides by slot
+counts, so the blame sums to the total up to that rounding.
+
+A job whose journalled retry backoff plus heartbeat timeouts exceed
+its ``overhead_seconds`` cannot come from the runtime (both are
+charged into that overhead), so such a journal does not reconcile.
 
 Blame categories::
 
@@ -36,14 +39,8 @@ Blame categories::
     shuffle         cross-fabric data movement
     retries         exponential backoff charged by job_retry events
     heartbeat       node-loss detection timeouts under the winning attempt
-    recovery        remaining overhead: re-replication writes, replica
-                    failover re-reads, and any unexplained remainder
-                    (clamped at zero)
-    residual        accounting anomaly, <= 0: when journalled backoff +
-                    heartbeat seconds exceed ``overhead_seconds`` the
-                    negative residue lands here (and is rendered as a
-                    warning) instead of producing a negative recovery
-                    bucket, keeping the blame sum equal to the total
+    recovery        remaining overhead: re-replication writes and
+                    replica failover re-reads
 
 Everything here derives from canonical (``wall``-free) journal fields
 only, so critical paths are byte-identical across executor backends
@@ -67,7 +64,6 @@ BLAME_CATEGORIES = (
     "retries",
     "heartbeat",
     "recovery",
-    "residual",
 )
 
 
@@ -159,8 +155,11 @@ class CriticalPath:
 
     @property
     def reconciled(self) -> bool:
-        """True iff critical-path length == journalled makespan, exactly."""
-        return self.total_seconds == self.journal_seconds
+        """True iff critical-path length == journalled makespan, exactly,
+        and no job's named overhead exceeds its ``overhead_seconds``."""
+        return self.total_seconds == self.journal_seconds and all(
+            job.blame["recovery"] >= 0 for job in self.jobs
+        )
 
     @property
     def blame_seconds(self) -> float:
@@ -259,7 +258,6 @@ def _job_on_path(
     stragglers = sum(p.straggler_seconds for p in phases)
     retries = _retry_backoff(job, retry_events)
     heartbeat = _heartbeat_seconds(job)
-    recovery = overhead - retries - heartbeat
     blame = {
         "startup": startup,
         "compute": compute,
@@ -267,14 +265,10 @@ def _job_on_path(
         "shuffle": shuffle,
         "retries": retries,
         "heartbeat": heartbeat,
-        # Whatever overhead the named causes don't explain stays
-        # visible here instead of vanishing: re-replication writes,
-        # replica-failover re-reads, and accounting residue. If the
-        # journalled backoff/heartbeat exceed the overhead, recovery
-        # clamps at zero and the negative residue stays visible under
-        # ``residual`` so the decomposition still sums to the total.
-        "recovery": max(0.0, recovery),
-        "residual": min(0.0, recovery),
+        # The overhead the named causes don't explain: re-replication
+        # writes and replica-failover re-reads. Negative only for a
+        # journal the runtime cannot have written (see ``reconciled``).
+        "recovery": overhead - retries - heartbeat,
     }
     return JobOnPath(
         job=job.name,
@@ -298,7 +292,7 @@ def critical_path(replay: RunReplay) -> CriticalPath:
     appear on the path; everything else is listed under ``off_path``.
     """
     restores: list[RestoreOnPath] = []
-    start = 0.0
+    clock = 0.0
     for event in replay.restored_baselines():
         seconds = float(event.attrs.get("simulated_seconds") or 0.0)
         restores.append(
@@ -306,23 +300,18 @@ def critical_path(replay: RunReplay) -> CriticalPath:
                 name=str(event.attrs.get("name") or "checkpoint"),
                 iteration=event.attrs.get("iteration"),
                 jobs=int(event.attrs.get("jobs") or 0),
-                start=start,
-                end=start + seconds,
+                start=clock,
+                end=clock + seconds,
                 seconds=seconds,
             )
         )
-        start = start + seconds
-    restore_sum = replay.restored_seconds
+        clock += seconds
     retry_events = replay.events_named("job_retry")
     jobs: list[JobOnPath] = []
-    job_sum = 0.0
     for job in replay.successful_jobs():
         seconds = float(job.get("simulated_seconds") or 0.0)
-        start = restore_sum + job_sum
-        job_sum = job_sum + seconds
-        jobs.append(
-            _job_on_path(job, start, restore_sum + job_sum, retry_events)
-        )
+        jobs.append(_job_on_path(job, clock, clock + seconds, retry_events))
+        clock += seconds
     off_path = [
         OffPathAttempt(
             job=attempt.name,
@@ -334,17 +323,12 @@ def critical_path(replay: RunReplay) -> CriticalPath:
         if attempt.get("status") != "ok"
     ]
     blame = {category: 0.0 for category in BLAME_CATEGORIES}
-    blame["checkpointing"] = restore_sum
+    blame["checkpointing"] = replay.restored_seconds
     for job in jobs:
         for category, seconds in job.blame.items():
             blame[category] += seconds
-    # The exact-reconciliation identity: same left-folds, same order,
-    # same final addition as RunReplay.total_simulated_seconds(),
-    # which goes through replay.left_fold_seconds — NOT builtin sum(),
-    # whose compensated summation on CPython 3.12+ diverges bitwise.
-    total_seconds = restore_sum + job_sum
     return CriticalPath(
-        total_seconds=total_seconds,
+        total_seconds=clock,
         journal_seconds=replay.total_simulated_seconds(),
         restores=restores,
         jobs=jobs,
@@ -377,12 +361,6 @@ def render_critical(path: CriticalPath, limit: int = 10) -> str:
                 f"{category} {seconds:.2f}s ({seconds / total * 100:.1f}%)"
             )
     lines.append("blame: " + ("  ".join(blame_bits) or "(empty run)"))
-    residual = path.blame.get("residual", 0.0)
-    if residual < 0:
-        lines.append(
-            f"warning: accounting residual {residual:.2f}s -- journalled "
-            "retry backoff + heartbeat timeouts exceed overhead_seconds"
-        )
     ranked = sorted(path.jobs, key=lambda job: -job.sim_seconds)
     if ranked:
         lines.append("")

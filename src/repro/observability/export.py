@@ -17,8 +17,8 @@ Format of the Trace Event specification, loadable in Perfetto
 * per-iteration ``k`` and the cumulative simulated makespan become
   counter (``"ph": "C"``) tracks.
 
-The timeline is *simulated* time: segments are placed by the same
-left-fold the critical-path extractor uses
+The timeline is *simulated* time: segments are placed where the
+critical-path extractor puts them
 (:func:`repro.observability.critical.critical_path`), so the last
 event ends exactly at the journalled makespan. Timestamps are
 microseconds (the unit the spec mandates); only canonical journal

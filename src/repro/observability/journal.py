@@ -401,6 +401,20 @@ def canonical_records(records: Iterable[dict]) -> list[dict]:
     return [canonical_record(record) for record in records]
 
 
+def replace_journal(fresh: str, path: str) -> bool:
+    """Move the journal at ``fresh`` to ``path``, unless both have equal
+    :func:`canonical_records`: a re-recorded seeded run then differs
+    only in wall-clock fields, so ``path`` is kept byte for byte and
+    ``fresh`` deleted. Returns True when ``path`` was replaced."""
+    if os.path.exists(path) and canonical_records(
+        load_journal(path)
+    ) == canonical_records(load_journal(fresh)):
+        os.unlink(fresh)
+        return False
+    os.replace(fresh, path)
+    return True
+
+
 def load_journal(path: str, strict_tail: bool = True) -> list[dict]:
     """Read a JSON-lines journal file back into record dicts.
 

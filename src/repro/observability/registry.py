@@ -33,7 +33,8 @@ JOURNAL_SUFFIX = ".jsonl"
 #: Index schema version, bumped on incompatible changes.
 #: v2: run entries carry ``anomalies`` (per-type live detector firing
 #: counts from the journal's ``anomaly`` events).
-INDEX_SCHEMA_VERSION = 2
+#: v3: the ``residual`` category is gone from each entry's ``blame``.
+INDEX_SCHEMA_VERSION = 3
 
 
 @dataclass

@@ -11,6 +11,11 @@ The replay is defensive about truncation: a run killed mid-chain
 leaves spans without end records, which replay surfaces as spans with
 ``end is None`` instead of failing — reconstructing interrupted runs
 is precisely the point.
+
+Every seconds value the runtime journals lies on the simulated clock's
+grid (:func:`repro.mapreduce.costmodel.quantize`), so the totals below
+are exact sums: the running clock, ``sum()`` over any subset and the
+critical-path placements agree bit for bit whatever the order.
 """
 
 from __future__ import annotations
@@ -126,24 +131,6 @@ class SpanNode:
         return Counters.from_dict(self.get("counters") or {})
 
 
-def left_fold_seconds(values) -> float:
-    """Plain left-fold float sum, in iteration order.
-
-    The runtime accumulates ``totals.simulated_seconds`` with ``+=``
-    and :func:`repro.observability.critical.critical_path` places its
-    segments at the partial sums of the same fold — all plain left
-    folds. CPython 3.12+ builtin ``sum()`` switched to Neumaier
-    compensated summation, which can differ bitwise from that fold, so
-    every side of an exact-reconciliation identity must accumulate
-    through this helper (or an equivalent explicit loop), never
-    through builtin ``sum()``.
-    """
-    total = 0.0
-    for value in values:
-        total = total + value
-    return total
-
-
 @dataclass
 class RunReplay:
     """A journal reconstructed as far as it has been read.
@@ -162,10 +149,10 @@ class RunReplay:
     roots: "list[SpanNode]" = field(default_factory=list)
     spans: "dict[int, SpanNode]" = field(default_factory=dict)
     events: "list[EventRecord]" = field(default_factory=list)
-    #: Left fold of the restored baselines' simulated seconds.
+    #: Simulated seconds of the restored baselines.
     restored_seconds: float = 0.0
-    #: The run's simulated clock: restored baselines and successful
-    #: attempts folded in record order, as the runtime advances it.
+    #: The run's simulated clock: restored baselines plus successful
+    #: attempts, as the runtime advances it.
     simulated_seconds: float = 0.0
     #: Counter totals accounted so far, in record order.
     counters: Counters = field(default_factory=Counters)
@@ -231,7 +218,7 @@ class RunReplay:
             if parent is not None:
                 parent.events.append(event)
             if event.name == "checkpoint_restore":
-                self.restored_seconds = self.restored_seconds + float(
+                self.restored_seconds += float(
                     event.attrs.get("simulated_seconds") or 0.0
                 )
                 self._charge(event.attrs, int(event.attrs.get("jobs") or 0))
@@ -303,9 +290,12 @@ class RunReplay:
     def failed_attempt_seconds(self) -> float:
         """Simulated seconds spent on failed job attempts: compute the
         runtime discards, recoverable only from the journal."""
-        return left_fold_seconds(
-            float(job.get("simulated_seconds") or 0.0)
-            for job in self.failed_jobs()
+        return sum(
+            (
+                float(job.get("simulated_seconds") or 0.0)
+                for job in self.failed_jobs()
+            ),
+            0.0,
         )
 
     def restored_baselines(self) -> "list[EventRecord]":
@@ -329,12 +319,9 @@ class RunReplay:
         return totals
 
     def total_simulated_seconds(self) -> float:
-        """Simulated seconds the journal accounts for (see above):
-        the restored baselines first, then the successful jobs."""
-        return self.restored_seconds + left_fold_seconds(
-            float(job.get("simulated_seconds") or 0.0)
-            for job in self.successful_jobs()
-        )
+        """Simulated seconds the journal accounts for (see above): the
+        restored baselines plus the successful jobs."""
+        return self.simulated_seconds
 
 
 def replay_records(records: "list[dict]") -> RunReplay:

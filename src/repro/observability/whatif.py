@@ -5,17 +5,17 @@ A journal records every successful job's per-task simulated durations,
 per-phase timings, live slot capacity and counters. That is enough to
 *deterministically* re-run the scheduling decision — not the
 clustering math — under a changed configuration: different slot
-counts, a wider or narrower shuffle fabric, the combiner turned off, a
-different split granularity, or pure-LPT placement instead of the
-recorded (possibly locality-aware) schedule. ``repro whatif JOURNAL
---set num_workers=8`` prints the predicted makespan delta; the
-:mod:`benchmarks.bench_whatif_accuracy` bench validates predictions
-against real re-runs.
+counts, a wider or narrower shuffle fabric, the combiner turned off, or
+pure-LPT placement instead of the recorded (possibly locality-aware)
+schedule. ``repro whatif JOURNAL --set num_workers=8`` prints the
+predicted makespan delta; the :mod:`benchmarks.bench_whatif_accuracy`
+bench validates predictions against real re-runs.
 
 Prediction model (per successful job)
 -------------------------------------
 
-* **startup / overhead** — configuration-independent, kept as recorded.
+* **startup / overhead** — configuration-independent, kept as recorded
+  (``overhead`` is the job's journalled ``overhead_seconds``).
 * **map / reduce** — the recorded per-task durations are re-scheduled
   with the shared LPT hook
   (:func:`repro.mapreduce.costmodel.lpt_schedule`) onto the scenario's
@@ -31,10 +31,6 @@ Prediction model (per successful job)
   task's non-startup time scales accordingly. Jobs without combine
   counters are unaffected. (``combiner=on`` over a journal recorded
   without a combiner has nothing to infer from and predicts no change.)
-* **split_factor F** — map work is re-binned into ``round(F × tasks)``
-  balanced tasks of ``startup + work/count`` seconds each (skew within
-  a phase is not preserved across re-binning; the bench bounds the
-  resulting error).
 * **reduce task count** — when a job's recorded reduce-task count
   followed cluster capacity (one task per slot, the runtime's default)
   the re-bin follows the scenario's capacity too; explicitly-sized
@@ -42,7 +38,9 @@ Prediction model (per successful job)
 
 Scenario keys accepted by ``--set``: ``nodes``, ``num_workers`` (total
 slots per phase), ``map_slots``, ``reduce_slots``, ``combiner``
-(on/off), ``split_factor``, ``scheduler`` (``lpt``/``recorded``).
+(on/off), ``scheduler`` (``lpt``/``recorded``). The split count is
+not a knob: changing it changes the mapper votes and so which jobs run,
+which a re-schedule of the recorded jobs cannot predict.
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ from dataclasses import asdict, dataclass, field
 
 from repro.mapreduce.costmodel import makespan
 from repro.mapreduce.counters import FRAMEWORK_GROUP, MRCounter
-from repro.observability.replay import RunReplay, SpanNode, left_fold_seconds
+from repro.observability.replay import RunReplay, SpanNode
 
 #: ``--set`` keys, with parsers. ``num_workers`` is the CLI-friendly
 #: alias for "total task slots per phase" — the simulated analogue of
@@ -62,7 +60,6 @@ SCENARIO_KEYS = (
     "map_slots",
     "reduce_slots",
     "combiner",
-    "split_factor",
     "scheduler",
 )
 
@@ -82,7 +79,6 @@ class Scenario:
     map_slots: "int | None" = None
     reduce_slots: "int | None" = None
     combiner: "bool | None" = None
-    split_factor: "float | None" = None
     scheduler: "str | None" = None
 
     def __post_init__(self) -> None:
@@ -90,10 +86,6 @@ class Scenario:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ScenarioError(f"{name} must be >= 1, got {value}")
-        if self.split_factor is not None and self.split_factor <= 0:
-            raise ScenarioError(
-                f"split_factor must be > 0, got {self.split_factor}"
-            )
         if self.scheduler is not None and self.scheduler not in SCHEDULERS:
             raise ScenarioError(
                 f"scheduler must be one of {SCHEDULERS}, got {self.scheduler!r}"
@@ -134,11 +126,6 @@ def parse_scenario(assignments: "list[str]") -> Scenario:
                 values[key] = int(raw)
             except ValueError as exc:
                 raise ScenarioError(f"{key} expects an integer: {raw!r}") from exc
-        elif key == "split_factor":
-            try:
-                values[key] = float(raw)
-            except ValueError as exc:
-                raise ScenarioError(f"{key} expects a number: {raw!r}") from exc
         elif key == "combiner":
             lowered = raw.lower()
             if lowered in ("on", "true", "1", "yes"):
@@ -166,11 +153,11 @@ class JobPrediction:
 
     @property
     def recorded_seconds(self) -> float:
-        return left_fold_seconds(self.recorded.values())
+        return sum(self.recorded.values())
 
     @property
     def predicted_seconds(self) -> float:
-        return left_fold_seconds(self.predicted.values())
+        return sum(self.predicted.values())
 
 
 @dataclass
@@ -316,14 +303,13 @@ def _predict_job(
     timing = job.get("timing") or {}
     if not timing:
         return None
-    sim = float(job.get("simulated_seconds") or 0.0)
     recorded = {
         "startup": float(timing.get("startup_seconds") or 0.0),
         "map": float(timing.get("map_seconds") or 0.0),
         "shuffle": float(timing.get("shuffle_seconds") or 0.0),
         "reduce": float(timing.get("reduce_seconds") or 0.0),
+        "overhead": float(job.get("overhead_seconds") or 0.0),
     }
-    recorded["overhead"] = sim - left_fold_seconds(recorded.values())
     nodes = job.get("nodes")
     recorded_nodes = int(nodes) if nodes else None
     growth = _combine_growth(job, scenario)
@@ -333,9 +319,6 @@ def _predict_job(
     new_map_slots = _scaled_slots(
         map_slots, scenario.map_slots, scenario, recorded_nodes
     )
-    map_rebin = None
-    if scenario.split_factor is not None and map_sims:
-        map_rebin = max(1, int(round(len(map_sims) * scenario.split_factor)))
     predicted_map = _predict_phase(
         map_sims,
         recorded["map"],
@@ -343,7 +326,6 @@ def _predict_job(
         new_map_slots,
         scenario,
         task_startup,
-        rebin_count=map_rebin,
     )
 
     reduce_phase, reduce_sims = _phase_tasks(job, "reduce")
@@ -401,8 +383,6 @@ def whatif_replay(
     exactly the recorded totals (the identity check the test suite
     pins).
     """
-    # The replay's own restore fold, so an identity scenario's recorded
-    # total matches the journalled makespan bitwise.
     restore_seconds = replay.restored_seconds
     jobs = []
     recorded_total = restore_seconds

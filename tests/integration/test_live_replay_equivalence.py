@@ -30,7 +30,7 @@ from repro.observability.anomaly import (
 )
 from repro.observability.journal import InMemoryJournalSink, Journal
 from repro.observability.live import LiveRunState, TelemetrySink
-from repro.observability.replay import left_fold_seconds, replay_records
+from repro.observability.replay import replay_records
 from repro.observability.slo import SLOWatchdog, parse_slo_rules
 
 MIXTURE = generate_gaussian_mixture(
@@ -101,14 +101,12 @@ def assert_live_matches_replay(state, watchdog, records):
     restores = replay.restored_baselines()
     jobs = replay.successful_jobs()
     assert state.counters.as_dict() == replay.total_counters().as_dict()
-    # The live clock folds in record order; these journals restore
-    # their baseline before any job runs.
-    assert state.simulated_seconds == left_fold_seconds(
+    # Journalled seconds lie on the clock grid, so the live clock is
+    # an exact sum: equal to the replay's total and to a plain sum().
+    assert state.simulated_seconds == replay.total_simulated_seconds()
+    assert state.simulated_seconds == sum(
         [float(event.attrs.get("simulated_seconds") or 0.0) for event in restores]
         + [float(job.get("simulated_seconds") or 0.0) for job in jobs]
-    )
-    assert state.simulated_seconds == pytest.approx(
-        replay.total_simulated_seconds(), rel=1e-12
     )
     assert state.jobs_ok == len(jobs) + sum(
         int(event.attrs.get("jobs") or 0) for event in restores

@@ -229,7 +229,7 @@ def test_report_json_is_loadable_and_versioned(grid, tmp_path):
     report, _ = grid
     written = write_importance(report, out_dir=str(tmp_path))
     raw = json.load(open(written["json"], encoding="utf-8"))
-    assert raw["schema_version"] == 1
+    assert raw["schema_version"] == 2
     assert raw["ranking"]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema_version": 99}))

@@ -1,5 +1,7 @@
 """The declarative component manifest: the single source of flip lists."""
 
+import inspect
+
 import pytest
 
 from repro.observability.components import (
@@ -44,6 +46,35 @@ def test_target_splits_into_namespace_and_field():
     comp = component("split_factor")
     assert comp.namespace == "workload"
     assert comp.field == "split_factor"
+
+
+def test_every_target_names_a_real_field_of_its_namespace():
+    """Each namespace the components module documents maps to one
+    class; a target must name one of its fields or constructor
+    arguments, or the harness applying it has nothing to set."""
+    from repro.core.config import MRGMeansConfig
+    from repro.core.gmeans_mr import MRGMeans
+    from repro.core.kmeans_mr import MRKMeans
+    from repro.mapreduce.executors import RuntimeConfig
+    from repro.mapreduce.faults import FaultModel
+    from repro.mapreduce.hdfs import InMemoryDFS
+    from repro.mapreduce.runtime import MapReduceRuntime
+    from repro.observability.ablate import WorkloadSpec
+
+    owners = {
+        "gmeans": MRGMeansConfig,
+        "driver": MRGMeans,
+        "kmeans": MRKMeans,
+        "runtime": MapReduceRuntime,
+        "faults": FaultModel,
+        "config": RuntimeConfig,
+        "dfs": InMemoryDFS,
+        "workload": WorkloadSpec,
+    }
+    for comp in MANIFEST:
+        assert comp.namespace in owners, comp.target
+        fields = inspect.signature(owners[comp.namespace]).parameters
+        assert comp.field in fields, comp.target
 
 
 def test_infrastructure_components_are_simulated_invariant():

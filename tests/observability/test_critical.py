@@ -134,18 +134,22 @@ def test_failed_attempts_are_off_path_with_zero_clock():
     assert path.total_seconds == 25.0
 
 
-def test_negative_recovery_residue_is_clamped_and_surfaced():
-    """Journalled backoff + heartbeat exceeding overhead_seconds is an
-    accounting anomaly: recovery must clamp at zero and the negative
-    residue land in the explicit ``residual`` bucket (with a rendered
-    warning), not in a negative recovery percentage."""
+def test_overspent_overhead_does_not_reconcile(tmp_path, capsys):
+    """The runtime charges every retry backoff and heartbeat timeout
+    into the winning attempt's ``overhead_seconds``, so a journal whose
+    backoff + heartbeat exceed that overhead cannot come from it: the
+    path does not reconcile and ``repro analyze`` exits 1."""
+    import json
+
+    from repro.cli import main
+
     sink = InMemoryJournalSink()
     journal = Journal(sink)
     with journal.span("run", "gmeans") as run:
         with journal.span("iteration", "iteration-1", iteration=1) as it:
             journal.event("job_retry", job="KMeans-1", retry=1, backoff_seconds=3.0)
             with journal.span("job", "KMeans-1", attempt=2) as job:
-                # overhead 1.0 < backoff 3.0: 2.0s of negative residue.
+                # overhead 1.0 < backoff 3.0
                 job.set(
                     status="ok",
                     simulated_seconds=10.0,
@@ -157,14 +161,19 @@ def test_negative_recovery_residue_is_clamped_and_surfaced():
             it.set(simulated_seconds=10.0)
         run.set(status="ok", simulated_seconds=10.0)
     path = critical_path(replay_records(sink.records))
-    assert path.reconciled
+    assert path.total_seconds == path.journal_seconds
+    assert path.reconciled is False
     assert path.blame["retries"] == 3.0
-    assert path.blame["recovery"] == 0.0
-    assert path.blame["residual"] == -2.0
-    # The decomposition still sums to the segment total.
-    assert abs(path.blame_seconds - path.total_seconds) < 1e-9
-    text = render_critical(path)
-    assert "warning: accounting residual -2.00s" in text
+    assert path.blame["recovery"] == -2.0
+    assert "residual" not in path.blame
+    assert "NOT RECONCILED" in render_critical(path)
+
+    journal_file = tmp_path / "overspent.jsonl"
+    journal_file.write_text(
+        "".join(json.dumps(record) + "\n" for record in sink.records)
+    )
+    assert main(["analyze", str(journal_file)]) == 1
+    assert "does not reconcile" in capsys.readouterr().err
 
 
 def test_empty_journal_reconciles_trivially():
@@ -177,32 +186,54 @@ def test_empty_journal_reconciles_trivially():
 
 
 def test_reconciliation_is_bitwise_under_awkward_floats():
-    """0.1-style floats don't sum associatively; the identity holds
-    because critical_path replicates the replay's exact fold order."""
-    sink = InMemoryJournalSink()
-    journal = Journal(sink)
-    with journal.span("run", "gmeans") as run:
-        for i in range(7):
-            journal.event(
-                "checkpoint_restore",
-                name=f"iter-{i:04d}",
-                iteration=i,
-                jobs=1,
-                simulated_seconds=0.3,
-                counters={},
-            )
-        with journal.span("iteration", "iteration-8", iteration=8) as it:
-            for j in range(100):
-                with journal.span("job", f"KMeans-{j}", attempt=1) as job:
-                    job.set(status="ok", simulated_seconds=0.1, counters={})
-            it.set(simulated_seconds=10.0)
-        run.set(status="ok")
-    replay = replay_records(sink.records)
-    path = critical_path(replay)
-    assert path.total_seconds == replay.total_simulated_seconds()
-    assert path.reconciled
-    # And the per-segment placements are the fold's partial sums.
-    assert path.jobs[-1].end == path.total_seconds
+    """On-grid seconds spanning twelve orders of magnitude sum exactly,
+    so the same segments journalled in any order reconcile bit for bit
+    and give one total, equal to math.fsum's correctly rounded sum."""
+    import math
+    import random
+
+    from repro.mapreduce.costmodel import quantize
+
+    rng = random.Random(3)
+    seconds = [
+        quantize(rng.uniform(0.5, 2.0) * 10.0 ** rng.randint(-8, 4))
+        for _ in range(120)
+    ]
+
+    def journalled(restores, jobs):
+        sink = InMemoryJournalSink()
+        journal = Journal(sink)
+        with journal.span("run", "gmeans") as run:
+            for i, value in enumerate(restores):
+                journal.event(
+                    "checkpoint_restore",
+                    name=f"iter-{i:04d}",
+                    iteration=i,
+                    jobs=1,
+                    simulated_seconds=value,
+                    counters={},
+                )
+            with journal.span("iteration", "iteration-8", iteration=8) as it:
+                for j, value in enumerate(jobs):
+                    with journal.span("job", f"KMeans-{j}", attempt=1) as job:
+                        job.set(status="ok", simulated_seconds=value, counters={})
+                it.set(simulated_seconds=sum(jobs))
+            run.set(status="ok")
+        return replay_records(sink.records)
+
+    totals = set()
+    orders = [sorted(seconds), sorted(seconds, reverse=True), seconds]
+    for order in orders:
+        replay = journalled(order[:7], order[7:])
+        path = critical_path(replay)
+        assert path.reconciled
+        assert path.total_seconds == replay.total_simulated_seconds()
+        assert path.jobs[-1].end == path.total_seconds
+        # Each placement is its segment's exact partial sum.
+        for job in path.jobs:
+            assert job.end - job.start == job.sim_seconds
+        totals.add(path.total_seconds)
+    assert totals == {math.fsum(seconds)}
 
 
 def test_as_dict_is_json_ready_and_canonical():

@@ -1,5 +1,11 @@
 """Replay: folding a record stream back into a span tree."""
 
+import math
+import random
+
+import pytest
+
+from repro.mapreduce.costmodel import quantize
 from repro.mapreduce.counters import Counters
 from repro.observability.journal import InMemoryJournalSink, Journal
 from repro.observability.render import (
@@ -8,7 +14,7 @@ from repro.observability.render import (
     render_timeline,
     render_trace,
 )
-from repro.observability.replay import left_fold_seconds, replay_records
+from repro.observability.replay import replay_records
 
 
 def recorded_run():
@@ -101,31 +107,118 @@ def test_restored_baseline_counts_into_totals():
     assert replay.total_counters().get("framework", "MAP_TASKS") == 14
 
 
-def test_total_simulated_seconds_is_a_plain_left_fold():
-    """Regression: CPython 3.12+ builtin sum() uses Neumaier
-    compensated summation, which differs bitwise from the runtime's
-    ``+=`` accumulation. The journal accounting must use the same
-    plain left fold on every Python version, or the exact
-    reconciliation in ``repro analyze`` fails spuriously on valid
-    journals (seen on the committed 04-slo-abort baseline)."""
-    values = [0.1] * 10
-    folded = left_fold_seconds(values)
-    # Pin the fold order: ten 0.1s left-fold to just under 1.0, where
-    # any compensated scheme (math.fsum, 3.12+ sum) rounds to 1.0.
-    assert folded == 0.9999999999999999
-    assert folded != 1.0
+def _runtime_journal(kind):
+    """Records of one seeded G-means run under a fault scenario, plus
+    the run's own simulated total."""
+    from repro.core.config import MRGMeansConfig
+    from repro.core.gmeans_mr import MRGMeans
+    from repro.data.generator import generate_gaussian_mixture
+    from repro.data.loader import write_points
+    from repro.mapreduce.cluster import ClusterConfig
+    from repro.mapreduce.executors import RuntimeConfig
+    from repro.mapreduce.faults import FaultModel
+    from repro.mapreduce.hdfs import BlockFaultModel, InMemoryDFS
+    from repro.mapreduce.nodes import NodeFaultModel
+    from repro.mapreduce.runtime import MapReduceRuntime
 
+    scenarios = {
+        "chaos": dict(
+            faults=FaultModel(task_failure_probability=0.12, max_attempts=2),
+            config=RuntimeConfig(max_job_retries=20, retry_backoff_seconds=5.0),
+        ),
+        "node-chaos": dict(
+            node_faults=NodeFaultModel(
+                node_failure_probability=0.1,
+                node_recovery_probability=0.3,
+                heartbeat_timeout_seconds=0.3,
+                seed=1,
+            ),
+            locality=True,
+        ),
+        "speculative": dict(
+            faults=FaultModel(
+                task_failure_probability=0.05,
+                straggler_probability=0.3,
+                speculative_execution=True,
+            ),
+        ),
+        "job-retry": dict(
+            faults=FaultModel(task_failure_probability=0.01, max_attempts=1),
+            config=RuntimeConfig(max_job_retries=10, retry_backoff_seconds=0.7),
+        ),
+    }
+    mixture = generate_gaussian_mixture(
+        n_points=600, n_clusters=3, dimensions=2, rng=7
+    )
+    dfs = InMemoryDFS(
+        split_size_bytes=4096,
+        fault_model=BlockFaultModel(replica_loss_probability=0.05, seed=3)
+        if kind == "chaos"
+        else None,
+    )
+    write_points(dfs, "points", mixture.points, replication=2)
     sink = InMemoryJournalSink()
-    journal = Journal(sink)
-    with journal.span("run", "gmeans") as run:
-        with journal.span("iteration", "iteration-1", iteration=1) as it:
-            for j in range(10):
-                with journal.span("job", f"KMeans-{j}", attempt=1) as job:
-                    job.set(status="ok", simulated_seconds=0.1, counters={})
-            it.set(simulated_seconds=1.0)
-        run.set(status="ok")
-    replay = replay_records(sink.records)
-    assert replay.total_simulated_seconds() == folded
+    runtime = MapReduceRuntime(
+        dfs,
+        cluster=ClusterConfig(nodes=3, task_heap_mb=64),
+        rng=99,
+        journal=Journal(sink),
+        **scenarios[kind],
+    )
+    result = MRGMeans(runtime, MRGMeansConfig(seed=5)).fit("points")
+    return sink.records, result.simulated_seconds
+
+
+def _clock_values(records):
+    """Every simulated-seconds value a journal carries, by where it was
+    found: task durations, and any ``*_seconds`` attribute (phase
+    ``timing.*`` included) or wasted-compute counter of a span or
+    event."""
+    def walk(where, attrs):
+        for key, value in attrs.items():
+            if isinstance(value, dict):
+                yield from walk(f"{where}.{key}", value)
+            elif key.endswith("_seconds") or key == "WASTED_COMPUTE_SECONDS":
+                yield f"{where}.{key}", value
+
+    for record in records:
+        if record["type"] == "task":
+            yield "task.sim_seconds", record["sim_seconds"]
+        else:
+            where = record.get("name") or record.get("kind") or record["type"]
+            yield from walk(where, record.get("attrs") or {})
+
+
+@pytest.mark.parametrize("kind", ["chaos", "node-chaos", "speculative", "job-retry"])
+def test_journalled_seconds_lie_on_the_clock_grid(kind):
+    """Every duration the runtime journals is a whole number of clock
+    ticks, so the run total is an exact sum: the same under sum(),
+    math.fsum and any order, and equal to the running clock."""
+    records, run_seconds = _runtime_journal(kind)
+    values = list(_clock_values(records))
+    keys = {where.rsplit(".", 1)[-1] for where, _ in values}
+    assert {"sim_seconds", "simulated_seconds", "overhead_seconds"} <= keys
+    assert {"map_seconds", "shuffle_seconds", "startup_seconds"} <= keys
+    expected = {
+        "chaos": {"backoff_seconds", "WASTED_COMPUTE_SECONDS"},
+        "node-chaos": {"heartbeat_timeout_seconds", "WASTED_COMPUTE_SECONDS"},
+        "speculative": {"WASTED_COMPUTE_SECONDS"},
+        "job-retry": {"backoff_seconds"},
+    }[kind]
+    assert expected <= keys
+    off_grid = [(where, v) for where, v in values if quantize(v) != v]
+    assert off_grid == []
+
+    replay = replay_records(records)
+    jobs = [float(job.get("simulated_seconds")) for job in replay.successful_jobs()]
+    assert len(jobs) > 5
+    total = replay.total_simulated_seconds()
+    assert total == run_seconds == replay.simulated_seconds
+    assert sum(jobs) == math.fsum(jobs) == total
+    rng = random.Random(kind)
+    for _ in range(50):
+        rng.shuffle(jobs)
+        assert sum(jobs) == total
 
 
 def test_truncated_journal_yields_incomplete_spans():

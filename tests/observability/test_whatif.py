@@ -149,13 +149,6 @@ def test_scheduler_lpt_drops_the_calibration():
     assert lpt.phase_totals()["map"] == (pytest.approx(4.0), pytest.approx(3.0))
 
 
-def test_split_factor_rebins_map_work():
-    # F=2: 4 tasks (work 2.0 above startup) -> 8 balanced tasks of
-    # 1 + 2/8 = 1.25s; on 2 slots that is 4 waves = 5.0s.
-    report = whatif_replay(recorded_run(), Scenario(split_factor=2.0))
-    assert report.phase_totals()["map"][1] == pytest.approx(5.0)
-
-
 def test_restored_baselines_ride_both_totals():
     report = whatif_replay(recorded_run(restore=7.5), Scenario(num_workers=1))
     assert report.restore_seconds == 7.5
@@ -206,11 +199,10 @@ def test_jobs_without_timing_ride_both_totals():
 
 def test_parse_scenario_roundtrip():
     scenario = parse_scenario(
-        ["num_workers=8", "combiner=off", "split_factor=1.5", "scheduler=lpt"]
+        ["num_workers=8", "combiner=off", "scheduler=lpt"]
     )
     assert scenario.num_workers == 8
     assert scenario.combiner is False
-    assert scenario.split_factor == 1.5
     assert scenario.scheduler == "lpt"
     assert not scenario.empty
     assert "num_workers=8" in scenario.describe()
@@ -226,7 +218,7 @@ def test_parse_scenario_roundtrip():
         "combiner=maybe",  # not on/off
         "scheduler=fifo",  # unknown scheduler
         "nodes=0",  # below 1
-        "split_factor=0",  # must be > 0
+        "split_factor=0",  # not a knob: re-splitting changes the jobs
     ],
 )
 def test_parse_scenario_rejects(bad):
@@ -243,3 +235,19 @@ def test_report_is_json_ready_and_renders():
     assert "scenario: nodes=2" in text
     assert "predicted makespan" in text
     assert "most-moved jobs" in text
+
+
+def test_cli_rejects_split_factor_and_lists_the_knobs(tmp_path, capsys):
+    """Re-splitting changes the mapper votes and so the jobs that run,
+    which re-scheduling the recorded jobs cannot predict: the knob is
+    gone, and asking for it is a usage error naming the valid ones."""
+    from repro.cli import main
+
+    path = tmp_path / "run.jsonl"
+    path.write_text(
+        "".join(json.dumps(record) + "\n" for record in recorded_run().records)
+    )
+    assert main(["whatif", str(path), "--set", "split_factor=2"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown scenario key 'split_factor'" in err
+    assert "nodes, num_workers, map_slots, reduce_slots, combiner, scheduler" in err
