@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-processes test-shared test-all chaos chaos-node trace live analyze report ablate bench-executors bench
+.PHONY: test test-processes test-shared test-all chaos chaos-node trace analyze report ablate bench-executors bench
 
 # Tier-1: the full suite on the default (serial) backend.
 test:
@@ -62,21 +62,7 @@ trace:
 	REPRO_BLOCK_LOSS_PROB=0.02 \
 	REPRO_MAX_JOB_RETRIES=3 \
 	$(PYTHON) examples/run_with_journal.py $(TRACE_JOURNAL)
-	$(PYTHON) -m repro trace $(TRACE_JOURNAL) --gantt --metrics
-
-# Watch a run live: progress rendering on this terminal, the metrics
-# endpoint on 127.0.0.1:8787 (curl /metrics, /healthz or /state from
-# another shell), task profiling stamped into the journal. Scale the
-# run up with LIVE_POINTS to keep it on screen longer.
-LIVE_JOURNAL ?= reports/live-run.jsonl
-LIVE_POINTS ?= 1500000
-live:
-	rm -f $(LIVE_JOURNAL)
-	REPRO_LIVE=1 \
-	REPRO_METRICS_PORT=8787 \
-	REPRO_PROFILE_TASKS=1 \
-	$(PYTHON) examples/run_with_journal.py $(LIVE_JOURNAL) $(LIVE_POINTS)
-	$(PYTHON) -m repro analyze $(LIVE_JOURNAL)
+	$(PYTHON) -m repro trace $(TRACE_JOURNAL) --gantt
 
 # The journal analytics loop as CI runs it: record a seeded chaos run,
 # profile it (skew/stragglers, heap-model audit, cost residuals), then

@@ -3,16 +3,17 @@
 Runs the same seeded G-means workload in four modes — journalling off
 (the default ``NullJournalSink``), journalling on (a
 ``FileJournalSink`` appending JSON lines, flushed at every span and
-event boundary), full live telemetry (the file sink teed through a
-``TelemetrySink`` into a ``LiveRunState`` with per-task profiling
-armed), and live telemetry with the in-flight anomaly detectors armed
-on top (``AnomalyWatchdog`` at default thresholds) — and asserts:
+event boundary), the telemetry tee (the file sink teed through a
+``TelemetrySink`` into the ``LiveRunState`` the SLO rules read, with
+per-task profiling armed), and the tee with the in-flight anomaly
+detectors armed on top (``AnomalyWatchdog`` at default thresholds) —
+and asserts:
 
 * equivalence — results are byte-identical across all four modes
   (telemetry observes the record stream, it never touches an RNG);
 * overhead — the file sink costs < 5% wall-clock on top of the
-  uninstrumented run, and live telemetry *with* tracemalloc-based task
-  profiling stays < 10% (best-of-``REPEATS`` per mode, to damp
+  uninstrumented run, and the telemetry tee *with* tracemalloc-based
+  task profiling stays < 10% (best-of-``REPEATS`` per mode, to damp
   scheduler noise) — with the detectors armed included under the same
   10% budget.
 

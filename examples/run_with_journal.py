@@ -3,22 +3,18 @@
 Runs MR G-means over a synthetic mixture with journalling enabled and
 prints where the journal landed; render it afterwards with::
 
-    python -m repro trace <journal> --gantt --metrics
+    python -m repro trace <journal> --gantt
 
-Fault injection and live telemetry come from the environment, so the
-same script records a clean run, a chaos run, or a live-watched run
-(``make trace`` sets the chaos variables, ``make live`` the telemetry
-ones)::
+Fault injection, task profiling, SLO rules and the anomaly detectors
+come from the environment, so the same script records a clean run, a
+chaos run, a profiled run or a guarded run (``make trace`` sets the
+chaos variables)::
 
     python examples/run_with_journal.py run.jsonl
     REPRO_TASK_FAILURE_PROB=0.05 REPRO_MAX_JOB_RETRIES=3 \
         python examples/run_with_journal.py chaos.jsonl
-    REPRO_LIVE=1 REPRO_METRICS_PORT=8787 REPRO_PROFILE_TASKS=1 \
-        python examples/run_with_journal.py live.jsonl
-
-An optional second argument scales the dataset (default 6000 points) —
-the CI live-smoke job uses a larger run so there is time to scrape the
-metrics endpoint mid-flight.
+    REPRO_PROFILE_TASKS=1 python examples/run_with_journal.py profiled.jsonl
+    REPRO_SLO=max_k=2 python examples/run_with_journal.py guarded.jsonl
 
 Recording over an existing journal replaces it only when the run's
 canonical records changed, so re-running a seeded recipe (``make
@@ -42,16 +38,16 @@ from repro.common.errors import SLOViolationError
 from repro.observability import JOURNAL_ENV, replace_journal
 
 TRUE_K = 6
+N_POINTS = 6_000
 
 
 def main() -> int:
     journal_path = sys.argv[1] if len(sys.argv) > 1 else "run.jsonl"
-    n_points = int(sys.argv[2]) if len(sys.argv) > 2 else 6_000
 
     # Publish the journal path through the environment instead of
     # constructing a file sink directly: Journal.from_env composes the
     # file journal with whatever live telemetry the environment asks
-    # for (REPRO_LIVE / REPRO_METRICS_PORT / REPRO_SLO). An existing
+    # for (REPRO_SLO / REPRO_ANOMALY). An existing
     # journal is re-recorded beside itself and kept if nothing changed.
     fresh = journal_path
     if os.path.exists(journal_path):
@@ -61,7 +57,7 @@ def main() -> int:
     os.environ[JOURNAL_ENV] = fresh
 
     mixture = generate_gaussian_mixture(
-        n_points=n_points, n_clusters=TRUE_K, dimensions=4, rng=42
+        n_points=N_POINTS, n_clusters=TRUE_K, dimensions=4, rng=42
     )
     dfs = InMemoryDFS(split_size_bytes=64 * 1024)
     dataset = write_points(dfs, "points", mixture.points)

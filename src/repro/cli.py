@@ -8,10 +8,9 @@
     python -m repro ablation kmeans_iterations
     python -m repro all --out-dir reports/
     python -m repro experiment table1 --journal run.jsonl
-    python -m repro experiment table1 --live --metrics-port 8787
     python -m repro experiment table1 --profile-tasks --journal run.jsonl
     python -m repro experiment table1 --slo max_k=64,warn:max_wall_seconds=600
-    python -m repro trace run.jsonl --gantt --metrics
+    python -m repro trace run.jsonl --gantt
     python -m repro trace run.jsonl --follow
     python -m repro trace run.jsonl --format chrome --out run.trace.json
     python -m repro whatif run.jsonl --set num_workers=8 --set combiner=off
@@ -23,9 +22,9 @@
 
 Every run is deterministic (the experiments carry their own seeds);
 the printed report is the same paper-vs-measured text the benchmark
-suite archives. Live telemetry (``--live`` / ``--metrics-port`` /
-``--profile-tasks`` / ``--slo``) only observes a run — results and
-canonical journals are byte-identical with it on or off. ``--anomaly``
+suite archives. Task profiling (``--profile-tasks``) and SLO rules
+(``--slo``) only observe a run — results and canonical journals are
+byte-identical with them on or off. ``--anomaly``
 arms the in-flight detectors, which *do* journal their firings — but
 from simulated quantities only, so those journals are byte-identical
 across backends too, and ``repro anomalies --check`` re-derives every
@@ -64,7 +63,6 @@ from repro.mapreduce.nodes import (
 )
 from repro.observability.anomaly import ANOMALY_ENV
 from repro.observability.journal import JOURNAL_ENV
-from repro.observability.live import LIVE_ENV, METRICS_PORT_ENV
 from repro.observability.profiling import PROFILE_TASKS_ENV
 from repro.observability.slo import SLO_ENV
 
@@ -206,12 +204,7 @@ def _cmd_trace(args) -> int:
 
         text = render_chrome_trace(replay)
     else:
-        text = render_trace(
-            replay,
-            gantt=args.gantt,
-            metrics=args.metrics,
-            width=args.width,
-        )
+        text = render_trace(replay, gantt=args.gantt, width=args.width)
     print(text)
     _write_out(text, args.out)
     return 0
@@ -530,21 +523,6 @@ def _global_options() -> argparse.ArgumentParser:
         "or off); inspect it with 'repro trace PATH'",
     )
     parent.add_argument(
-        "--live",
-        action="store_true",
-        help="render live run progress (iteration/phase bars + rolling "
-        "counters) to stderr; degrades to one line per iteration on "
-        "non-TTY streams (default: $REPRO_LIVE or off)",
-    )
-    parent.add_argument(
-        "--metrics-port",
-        type=int,
-        metavar="PORT",
-        help="serve live run metrics over HTTP on 127.0.0.1:PORT "
-        "(/metrics Prometheus text, /healthz, /state JSON; 0 picks an "
-        "ephemeral port; default: $REPRO_METRICS_PORT or off)",
-    )
-    parent.add_argument(
         "--profile-tasks",
         action="store_true",
         help="measure real CPU time and tracemalloc peak per map/reduce "
@@ -666,12 +644,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         default=False,
         help="also render per-job Gantt charts from the recorded tasks",
-    )
-    p_trace.add_argument(
-        "--metrics",
-        action="store_true",
-        default=False,
-        help="also dump the run totals in Prometheus text format",
     )
     p_trace.add_argument(
         "--width",
@@ -882,8 +854,6 @@ def main(argv: "list[str] | None" = None) -> int:
         ("node_recovery_prob", NODE_RECOVERY_PROB_ENV),
         ("heartbeat_timeout", HEARTBEAT_TIMEOUT_ENV),
         ("journal", JOURNAL_ENV),
-        ("live", LIVE_ENV),
-        ("metrics_port", METRICS_PORT_ENV),
         ("profile_tasks", PROFILE_TASKS_ENV),
         ("slo", SLO_ENV),
         ("anomaly", ANOMALY_ENV),

@@ -108,6 +108,28 @@ class SLOViolationError(ReproError):
         return (type(self), (self.rule, self.limit, self.observed))
 
 
+class SimulatedClockError(ReproError):
+    """A simulated duration or running total left the exact clock range.
+
+    Simulated seconds lie on a grid of 2**-30 s, on which float64 adds
+    exactly only while values stay below 2**23 s (about 97 days). A
+    value at or past that bound, or one that is not finite, would make
+    totals depend on the order they were summed in, so the cost model
+    raises this error instead of returning it.
+    """
+
+    def __init__(self, seconds: float, what: str = "duration"):
+        self.seconds = float(seconds)
+        self.what = str(what)
+        super().__init__(
+            f"simulated {what} of {seconds!r} s is outside the exact "
+            "clock range (below 2**23 s)"
+        )
+
+    def __reduce__(self):
+        return (type(self), (self.seconds, self.what))
+
+
 class JavaHeapSpaceError(ReproError):
     """A task exceeded its configured JVM heap.
 

@@ -18,12 +18,15 @@ Every duration that enters the simulated clock is put on a grid of
 multiples of 2**-30 exactly while a total stays below 2**23 s (about
 97 days), so every job total, run total and partial sum is the same in
 any summation order (``sum()``, ``math.fsum``, a compensated ``sum()``).
+A duration or chain total that reaches :data:`CLOCK_LIMIT`, or is not
+finite, raises :class:`~repro.common.errors.SimulatedClockError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.common.errors import SimulatedClockError
 from repro.common.validation import check_non_negative, check_positive
 from repro.mapreduce.cluster import MIB, ClusterConfig
 from repro.mapreduce.counters import (
@@ -37,11 +40,30 @@ from repro.mapreduce.counters import (
 #: Resolution of the simulated clock: 2**-30 s, about 0.93 ns.
 CLOCK_TICK = 2.0**-30
 
+#: Magnitude below which on-grid values add exactly: 2**23 s.
+CLOCK_LIMIT = 2.0**23
+
 
 def quantize(seconds: float) -> float:
     """``seconds`` rounded to a whole number of clock ticks (both steps
-    are exact in float64, so an on-grid value comes back unchanged)."""
-    return round(seconds / CLOCK_TICK) * CLOCK_TICK
+    are exact in float64, so an on-grid value comes back unchanged).
+
+    Raises :class:`~repro.common.errors.SimulatedClockError` unless
+    ``|seconds| < CLOCK_LIMIT`` (so NaN and infinities too); rounding
+    cannot then reach the limit, because float64 values in
+    ``[2**22, 2**23)`` are already whole ticks.
+    """
+    if abs(seconds) < CLOCK_LIMIT:
+        return round(seconds / CLOCK_TICK) * CLOCK_TICK
+    raise SimulatedClockError(seconds, "duration")
+
+
+def check_total(seconds: float) -> float:
+    """``seconds`` unchanged if a running total may hold it, else
+    :class:`~repro.common.errors.SimulatedClockError`."""
+    if abs(seconds) < CLOCK_LIMIT:
+        return seconds
+    raise SimulatedClockError(seconds, "total")
 
 
 @dataclass(frozen=True)

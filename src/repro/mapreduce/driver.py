@@ -25,6 +25,7 @@ import re
 from dataclasses import dataclass, field
 
 from repro.common.errors import ConfigurationError, DataFormatError
+from repro.mapreduce.costmodel import check_total
 from repro.mapreduce.counters import (
     FRAMEWORK_GROUP,
     USER_GROUP,
@@ -100,7 +101,9 @@ class JobChainDriver:
         if self.cache_input:
             self._cached_files.add(name)
         self.totals.jobs += 1
-        self.totals.simulated_seconds += result.simulated_seconds
+        self.totals.simulated_seconds = check_total(
+            self.totals.simulated_seconds + result.simulated_seconds
+        )
         self.totals.counters.merge(result.counters)
         return result
 

@@ -42,13 +42,7 @@ import atexit
 import os
 import threading
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    Executor,
-    ProcessPoolExecutor,
-    wait,
-)
+from concurrent.futures import BrokenExecutor, Executor, ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Mapping, Protocol, Sequence, runtime_checkable
 
@@ -93,7 +87,8 @@ class RuntimeConfig:
     (a task out of attempts, an unavailable split) up to that many extra
     times, with exponential backoff (``retry_backoff_seconds`` doubled
     per retry via ``retry_backoff_factor``, plus deterministic jitter of
-    up to ``retry_jitter`` of the delay) charged to simulated time.
+    up to ``retry_jitter`` of the delay, the whole capped at
+    ``runtime.MAX_RETRY_BACKOFF_SECONDS``) charged to simulated time.
     Re-executions re-use the failed attempt's task seeds, so retries —
     like every other fault feature — perturb time, never results.
     """
@@ -359,18 +354,15 @@ class TaskExecutor(Protocol):
         fn: Callable,
         specs: Sequence,
         max_concurrency: "int | None" = None,
-        on_result: "Callable[[int], None] | None" = None,
     ) -> list:
         """Run ``fn`` over ``specs``; outcome ``i`` belongs to spec ``i``.
 
         Each outcome is a :class:`TaskResult` or a :class:`TaskFailure`
-        (never an in-flight exception): callers unwrap in index order.
+        (never an in-flight exception): callers unwrap in index order,
+        so completion order never leaks into behaviour.
         ``max_concurrency`` caps in-flight tasks — the runtime passes
         the cluster's slot count so the simulated topology also bounds
-        real parallelism. ``on_result``, when given, is called in the
-        submitting thread with the running count of completed tasks —
-        live progress only, and deliberately *not* passed the outcomes:
-        completion order must never leak into behaviour.
+        real parallelism.
         """
         ...
 
@@ -389,14 +381,8 @@ class SerialExecutor:
         fn: Callable,
         specs: Sequence,
         max_concurrency: "int | None" = None,
-        on_result: "Callable[[int], None] | None" = None,
     ) -> list:
-        outcomes = []
-        for spec in specs:
-            outcomes.append(_guarded(fn, spec))
-            if on_result is not None:
-                on_result(len(outcomes))
-        return outcomes
+        return [_guarded(fn, spec) for spec in specs]
 
     def close(self) -> None:
         pass
@@ -426,7 +412,6 @@ class _PoolBackedExecutor:
         fn: Callable,
         specs: Sequence,
         max_concurrency: "int | None" = None,
-        on_result: "Callable[[int], None] | None" = None,
     ) -> list:
         specs = list(specs)
         if not specs:
@@ -436,21 +421,16 @@ class _PoolBackedExecutor:
             limit = max(1, min(limit, max_concurrency))
         if limit == 1:
             # One slot is serial execution; skip the pool round-trips.
-            outcomes = []
-            for spec in specs:
-                outcomes.append(_guarded(fn, spec))
-                if on_result is not None:
-                    on_result(len(outcomes))
-            return outcomes
+            return [_guarded(fn, spec) for spec in specs]
         try:
-            return self._run_waves(self._pool(), fn, specs, limit, on_result)
+            return self._run_waves(self._pool(), fn, specs, limit)
         except BrokenExecutor:
             # A dead worker (OOM-killed, crashed interpreter) poisons a
             # pool permanently. Tasks are pure functions of their spec,
             # so rebuilding the pool and rerunning the batch is safe —
             # and deterministic, because results merge by index.
             _discard_shared_pool(self.num_workers)
-            return self._run_waves(self._pool(), fn, specs, limit, on_result)
+            return self._run_waves(self._pool(), fn, specs, limit)
 
     @staticmethod
     def _run_waves(
@@ -458,7 +438,6 @@ class _PoolBackedExecutor:
         fn: Callable,
         specs: list,
         limit: int,
-        on_result: "Callable[[int], None] | None" = None,
     ) -> list:
         """Wave dispatch: one striped batch submission per worker.
 
@@ -466,26 +445,16 @@ class _PoolBackedExecutor:
         same specs worker ``w`` would own under round-robin per-task
         dispatch — so each worker's load profile is unchanged while the
         submission count drops from ``len(specs)`` to ``limit``.
-        Outcomes land back at their spec's index; progress ticks fire
-        once per completed stripe with the cumulative task count.
+        Outcomes land back at their spec's index.
         """
         stripes = min(limit, len(specs))
-        futures = {
-            pool.submit(_run_spec_batch, fn, specs[w::stripes]): w
+        futures = [
+            pool.submit(_run_spec_batch, fn, specs[w::stripes])
             for w in range(stripes)
-        }
+        ]
         results: list = [None] * len(specs)
-        completed = 0
-        pending = dict(futures)
-        while pending:
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                w = pending.pop(future)
-                batch = future.result()
-                results[w::stripes] = batch
-                completed += len(batch)
-                if on_result is not None:
-                    on_result(completed)
+        for w, future in enumerate(futures):
+            results[w::stripes] = future.result()
         return results
 
     def close(self) -> None:

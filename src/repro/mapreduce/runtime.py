@@ -28,6 +28,7 @@ one sequential RNG stream. Same seed, same backend-independent results
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,6 +74,12 @@ from repro.mapreduce.nodes import (
 from repro.mapreduce.shuffle import group_by_key, partition_pairs
 from repro.observability.journal import JOB, PHASE, Journal
 from repro.observability.profiling import profiling_from_env
+
+#: Ceiling on one retry's backoff delay, jitter included, in simulated
+#: seconds. The committed recipes retry at most 3 times at the default
+#: 30 s doubling (under 300 s), far below it; with the cap, even a
+#: 40-deep retry chain stays inside the simulated clock's exact range.
+MAX_RETRY_BACKOFF_SECONDS = 3600.0
 
 
 @dataclass
@@ -321,12 +328,16 @@ class MapReduceRuntime:
 
     def _retry_backoff_seconds(self, retry: int) -> float:
         """Exponential backoff before re-execution ``retry`` (1-based),
-        with deterministic jitter drawn from the serial fault stream."""
+        with deterministic jitter drawn from the serial fault stream,
+        capped at :data:`MAX_RETRY_BACKOFF_SECONDS`."""
         cfg = self.config
-        delay = cfg.retry_backoff_seconds * cfg.retry_backoff_factor ** (retry - 1)
+        try:
+            delay = cfg.retry_backoff_seconds * cfg.retry_backoff_factor ** (retry - 1)
+        except OverflowError:  # the growth alone is past any float
+            delay = math.inf if cfg.retry_backoff_seconds else 0.0
         if cfg.retry_jitter:
             delay *= 1.0 + cfg.retry_jitter * float(self._fault_rng.random())
-        return quantize(delay)
+        return quantize(min(delay, MAX_RETRY_BACKOFF_SECONDS))
 
     def _capacity_attrs(self) -> dict:
         """Live-capacity attributes stamped on node lifecycle events."""
@@ -627,26 +638,6 @@ class MapReduceRuntime:
         if task.counters.get(FRAMEWORK_GROUP, SPECULATIVE_TASKS):
             journal.event("speculative_task", task_id=task_id)
 
-    def _phase_progress(self, phase: str, total: int):
-        """Live per-task progress callback for a phase, or ``None``.
-
-        Task *records* are journalled only after the phase's executor
-        call returns, so live progress rides the executor's ``on_result``
-        ticks instead — forwarded to the telemetry sink when one is
-        listening (``task_progress`` is the :class:`TelemetrySink`
-        extension; plain sinks don't have it).
-        """
-        if not self.journal.enabled:
-            return None
-        tick = getattr(self.journal.sink, "task_progress", None)
-        if tick is None:
-            return None
-
-        def on_result(done: int) -> None:
-            tick(phase, done, total)
-
-        return on_result
-
     # -- phases ----------------------------------------------------------
 
     def _locality_map_makespan(
@@ -754,7 +745,6 @@ class MapReduceRuntime:
                 execute_map_task,
                 specs,
                 max_concurrency=self.cluster_state.executor_concurrency("map"),
-                on_result=self._phase_progress("map", f.num_splits),
             )
             for spec, split, outcome in zip(specs, f.splits, outcomes):
                 task = unwrap(outcome)
@@ -858,7 +848,6 @@ class MapReduceRuntime:
                 max_concurrency=self.cluster_state.executor_concurrency(
                     "reduce"
                 ),
-                on_result=self._phase_progress("reduce", num_reduce),
             )
             for index, (spec, outcome) in enumerate(zip(specs, outcomes)):
                 task = unwrap(outcome)

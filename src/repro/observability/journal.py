@@ -346,9 +346,9 @@ class Journal:
         run constructs appends to one record stream with one global
         sequence numbering.
 
-        When any live-telemetry switch is set (``$REPRO_LIVE``,
-        ``$REPRO_METRICS_PORT``, ``$REPRO_SLO``) the journal instead
-        tees its records through a live
+        When SLO rules (``$REPRO_SLO``) or the anomaly detectors
+        (``$REPRO_ANOMALY``) are requested the journal instead tees its
+        records through a live
         :class:`~repro.observability.live.TelemetrySink` (imported
         lazily — :mod:`live` imports this module).
         """

@@ -1,4 +1,4 @@
-"""Counter snapshots at span boundaries, and Prometheus text export.
+"""Counter snapshots at span boundaries.
 
 The runtime's :class:`~repro.mapreduce.counters.Counters` accumulate
 monotonically over a whole chained run; what the paper's tables need
@@ -6,9 +6,7 @@ is the *per-iteration* and *per-job* breakdown. A
 :class:`MetricsRegistry` wraps a live ``Counters`` object and marks
 span boundaries, handing out the delta accumulated since the previous
 mark (``Counters.diff``, which respects ``_MAX`` high-water
-semantics). :func:`render_prometheus` turns any counter set — a span
-delta or a run total — into the Prometheus text exposition format, so
-a recorded journal can feed a real metrics pipeline.
+semantics).
 """
 
 from __future__ import annotations
@@ -39,86 +37,3 @@ class MetricsRegistry:
         delta = self.counters.diff(self._mark)
         self._mark = self.counters.copy()
         return delta
-
-
-def metric_name(group: str, name: str, prefix: str = "repro") -> str:
-    """Prometheus-legal metric name for counter ``(group, name)``."""
-    return f"{prefix}_{group}_{name}".lower()
-
-
-def escape_label_value(value: str) -> str:
-    """Escape a label value per the Prometheus text exposition format.
-
-    Backslash, double quote and newline are the three characters the
-    format requires escaping inside ``label="value"``.
-    """
-    return (
-        str(value)
-        .replace("\\", "\\\\")
-        .replace('"', '\\"')
-        .replace("\n", "\\n")
-    )
-
-
-def _render_labels(labels: "dict[str, str] | None") -> str:
-    if not labels:
-        return ""
-    parts = ",".join(
-        f'{name}="{escape_label_value(value)}"'
-        for name, value in sorted(labels.items())
-    )
-    return "{" + parts + "}"
-
-
-def render_prometheus(
-    counters: Counters,
-    extra: "dict[str, float] | None" = None,
-    prefix: str = "repro",
-    labels: "dict[str, str] | None" = None,
-) -> str:
-    """Prometheus text exposition of ``counters`` (plus ``extra`` gauges).
-
-    ``_MAX`` counters are high-water marks and export as gauges;
-    everything else is a monotone counter. ``extra`` adds run-level
-    gauges such as ``simulated_seconds`` that live outside the counter
-    map, and ``labels`` attaches a constant label set to every sample
-    (values escaped per the exposition format). Each metric gets one
-    ``# HELP`` and one ``# TYPE`` line. Output is sorted, so equal
-    counter sets render identically.
-
-    Names can collide: metric names are lowercased (the exposition
-    format convention), so the counter ``(live, k)`` and the extra
-    gauge ``live_k`` would both render as ``{prefix}_live_k`` — and so
-    would two extras differing only by case (``live_K`` vs ``live_k``,
-    e.g. gauge names derived from journal event attrs) or two counters
-    differing only by case (``(live, K)`` vs ``(live, k)``).
-    Deduplication is therefore *case-insensitive over the final metric
-    name*, applied to counters and extras alike: counters are emitted
-    first in sorted-key order, then extras in sorted-key order, and
-    every later colliding name is deterministically renamed with as
-    many ``_extra`` suffixes as it takes to be unique, rather than
-    silently double-registering one metric under two types or two
-    samples (which Prometheus scrapers reject as a format error).
-    """
-    label_text = _render_labels(labels)
-    lines: list[str] = []
-    seen_metrics: set[str] = set()
-    for (group, name), value in sorted(counters.snapshot().items()):
-        metric = metric_name(group, name, prefix)
-        while metric in seen_metrics:
-            metric = f"{metric}_extra"
-        seen_metrics.add(metric)
-        kind = "gauge" if name.endswith("_MAX") else "counter"
-        what = "high-water mark" if kind == "gauge" else "monotone counter"
-        lines.append(f"# HELP {metric} {group}:{name} {what} from the run journal")
-        lines.append(f"# TYPE {metric} {kind}")
-        lines.append(f"{metric}{label_text} {value}")
-    for name, value in sorted((extra or {}).items()):
-        metric = f"{prefix}_{name}".lower()
-        while metric in seen_metrics:
-            metric = f"{metric}_extra"
-        seen_metrics.add(metric)
-        lines.append(f"# HELP {metric} run-level gauge {name}")
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric}{label_text} {value}")
-    return "\n".join(lines)

@@ -1,11 +1,11 @@
 """Render a replayed journal for terminal consumption.
 
-Four views, matching what the paper's evaluation section reasons
+Three views, matching what the paper's evaluation section reasons
 about: the run timeline (where the chain spent its simulated time,
 with every retry, fault and checkpoint inline), the per-iteration
-counter table (the per-round breakdown Tables 1–4 are built from),
+counter table (the per-round breakdown Tables 1–4 are built from), and
 per-job Gantt charts (reusing :mod:`repro.mapreduce.trace` over the
-recorded task times), and a Prometheus text dump of the run totals.
+recorded task times).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from repro.mapreduce.counters import (
     UserCounter,
 )
 from repro.mapreduce.trace import build_schedule, render_gantt
-from repro.observability.metrics import render_prometheus
 from repro.observability.replay import RunReplay, SpanNode
 
 
@@ -154,110 +153,9 @@ def render_job_gantts(replay: RunReplay, width: int = 64) -> str:
     return "\n\n".join(sections) if sections else "(no jobs recorded)"
 
 
-def render_metrics(replay: RunReplay) -> str:
-    """Prometheus text dump of the journal's accounted run totals."""
-    extra = {
-        "simulated_seconds_total": replay.total_simulated_seconds(),
-        "jobs_total": float(len(replay.successful_jobs())),
-        "job_attempts_total": float(len(replay.jobs())),
-    }
-    return render_prometheus(replay.total_counters(), extra=extra)
-
-
-def progress_bar(done: int, total: int, width: int = 32) -> str:
-    """A fixed-width text progress bar: ``[#####....] 5/9``.
-
-    Tolerates ``total == 0`` (renders an empty bar) and ``done`` past
-    ``total`` (clamps), since live phase ticks can race the span end.
-    """
-    total = max(0, int(total))
-    done = max(0, min(int(done), total))
-    filled = int(round(width * (done / total))) if total else 0
-    return f"[{'#' * filled}{'.' * (width - filled)}] {done}/{total}"
-
-
-#: Counters shown in the live rolling table: label, (group, name).
-_LIVE_COUNTERS = (
-    ("reads", (FRAMEWORK_GROUP, MRCounter.DATASET_READS)),
-    ("cached", (FRAMEWORK_GROUP, MRCounter.CACHED_READS)),
-    ("shuffle_B", (FRAMEWORK_GROUP, MRCounter.SHUFFLE_BYTES)),
-    ("ad_tests", (USER_GROUP, UserCounter.AD_TESTS)),
-    ("retries", (FRAMEWORK_GROUP, MRCounter.JOB_RETRIES)),
-)
-
-
-def render_live_line(snapshot: dict) -> str:
-    """One-line live status (the non-TTY / log-friendly form)."""
-    k_traj = snapshot.get("k_trajectory") or []
-    trajectory = "->".join(str(k) for k in k_traj[-6:]) or str(snapshot.get("k") or "?")
-    parts = [
-        f"[live] {snapshot.get('run') or 'run'}",
-        f"status={snapshot.get('run_status')}",
-        f"iter={snapshot.get('iterations_done')}",
-        f"k={trajectory}",
-        f"jobs={snapshot.get('jobs_ok')}",
-        f"sim={float(snapshot.get('simulated_seconds') or 0.0):.2f}s",
-    ]
-    retries = snapshot.get("job_retries")
-    if retries:
-        parts.append(f"retries={retries}")
-    eta = float(snapshot.get("eta_simulated_seconds") or 0.0)
-    if eta:
-        parts.append(f"~eta={eta:.2f}s")
-    breaches = snapshot.get("slo_breaches") or []
-    if breaches:
-        parts.append(f"slo_breaches={len(breaches)}")
-    anomalies = snapshot.get("anomalies") or []
-    if anomalies:
-        parts.append(f"anomalies={len(anomalies)}")
-    return " ".join(parts)
-
-
-def render_live_status(snapshot: dict, width: int = 32) -> str:
-    """The multi-line ``--live`` TTY status block.
-
-    Progress bars for the iteration's job/phase position plus a rolling
-    counter table, built from the :class:`LiveRunState` snapshot dict
-    (same shape the ``/state`` endpoint serves).
-    """
-    lines = [render_live_line(snapshot)]
-    phase = snapshot.get("phase")
-    if phase and snapshot.get("run_status") in (None, "pending", "running"):
-        job = snapshot.get("job") or "?"
-        attempt = snapshot.get("job_attempt")
-        attempt_note = f" attempt {attempt}" if attempt and attempt > 1 else ""
-        bar = progress_bar(
-            snapshot.get("phase_tasks_done") or 0,
-            snapshot.get("phase_tasks_total") or 0,
-            width=width,
-        )
-        lines.append(f"  iter {snapshot.get('iteration')} · {job}{attempt_note} · {phase} {bar}")
-    counters = snapshot.get("counters") or {}
-    cells = []
-    for label, (group, name) in _LIVE_COUNTERS:
-        value = counters.get(group, {}).get(name, 0)
-        cells.append(f"{label}={value}")
-    lines.append("  " + "  ".join(cells))
-    heap = float(snapshot.get("max_heap_fraction") or 0.0)
-    tail = [f"heap_peak={heap:.0%}"]
-    events = snapshot.get("events") or {}
-    for name in ("task_failure", "replica_read", "checkpoint_write"):
-        if events.get(name):
-            tail.append(f"{name}={events[name]}")
-    for breach in snapshot.get("slo_breaches") or []:
-        tail.append(
-            f"SLO:{breach.get('rule')}>{breach.get('limit')}({breach.get('action')})"
-        )
-    for kind, count in sorted((snapshot.get("anomaly_counts") or {}).items()):
-        tail.append(f"ANOMALY:{kind}x{count}")
-    lines.append("  " + "  ".join(tail))
-    return "\n".join(lines)
-
-
 def render_trace(
     replay: RunReplay,
     gantt: bool = False,
-    metrics: bool = False,
     width: int = 64,
 ) -> str:
     """The full ``repro trace`` report (timeline + table + options)."""
@@ -270,6 +168,4 @@ def render_trace(
     ]
     if gantt:
         sections += ["", "== job gantts " + "=" * 50, render_job_gantts(replay, width)]
-    if metrics:
-        sections += ["", "== metrics " + "=" * 53, render_metrics(replay)]
     return "\n".join(sections)

@@ -113,14 +113,6 @@ class SLOBreach:
     observed: float
     action: str
 
-    def as_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "limit": self.limit,
-            "observed": self.observed,
-            "action": self.action,
-        }
-
 
 def parse_slo_rules(spec: str) -> tuple[SLORule, ...]:
     """Parse a ``--slo`` spec string into rules.
@@ -228,7 +220,6 @@ class SLOWatchdog:
                     action=rule.action,
                 )
                 self.breaches.append(breach)
-                state.breaches.append(breach.as_dict())
                 verb = (
                     "aborting at next checkpoint"
                     if rule.action == ABORT

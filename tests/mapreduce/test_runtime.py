@@ -334,6 +334,79 @@ def test_backoff_grows_exponentially():
     assert delays[0] < delays[1] < delays[2]
 
 
+def test_backoff_is_capped_and_deep_retry_chains_stay_on_the_clock_grid():
+    """Retry 40 at 0.7 s doubling would wait 0.7 * 2**39 s (about 3.8e11
+    s), far past the 2**23 s below which on-grid seconds add exactly.
+    The capped delays keep every journalled backoff, and their sum, in
+    that range."""
+    from repro.core.config import MRGMeansConfig
+    from repro.core.gmeans_mr import MRGMeans
+    from repro.data.generator import generate_gaussian_mixture
+    from repro.data.loader import write_points
+    from repro.mapreduce.costmodel import CLOCK_LIMIT, quantize
+    from repro.mapreduce.executors import RuntimeConfig
+    from repro.mapreduce.faults import FaultModel
+    from repro.mapreduce.runtime import MAX_RETRY_BACKOFF_SECONDS
+    from repro.observability.journal import InMemoryJournalSink, Journal
+
+    mixture = generate_gaussian_mixture(
+        n_points=600, n_clusters=3, dimensions=2, rng=7
+    )
+    dfs = InMemoryDFS(split_size_bytes=4096)
+    write_points(dfs, "points", mixture.points, replication=2)
+    sink = InMemoryJournalSink()
+    runtime = MapReduceRuntime(
+        dfs,
+        cluster=ClusterConfig(nodes=3, task_heap_mb=64),
+        rng=99,
+        journal=Journal(sink),
+        faults=FaultModel(task_failure_probability=0.1, max_attempts=1),
+        config=RuntimeConfig(max_job_retries=40, retry_backoff_seconds=0.7),
+    )
+    with pytest.raises(JobFailedError):
+        MRGMeans(runtime, MRGMeansConfig(seed=5)).fit("points")
+    delays = [
+        record["attrs"]["backoff_seconds"]
+        for record in sink.records
+        if record.get("name") == "job_retry"
+    ]
+    assert len(delays) == 40  # the job ran out of retries
+    assert max(delays) == MAX_RETRY_BACKOFF_SECONDS
+    assert all(quantize(delay) == delay for delay in delays)
+    assert sum(delays) < CLOCK_LIMIT
+    # Below the cap the doubling is untouched.
+    assert delays[0] <= 0.7 * 1.1 and delays[4] >= 0.7 * 2**4
+    # Past 2**1024 the growth itself overflows a float: still the cap.
+    assert runtime._retry_backoff_seconds(5000) == MAX_RETRY_BACKOFF_SECONDS
+
+
+def test_clock_range_errors_are_typed():
+    from repro.common.errors import ReproError, SimulatedClockError
+    from repro.mapreduce.costmodel import CLOCK_LIMIT, check_total, quantize
+    from repro.mapreduce.driver import JobChainDriver
+
+    for bad in (CLOCK_LIMIT, 1.9e11, float("inf"), float("nan")):
+        with pytest.raises(SimulatedClockError) as excinfo:
+            quantize(bad)
+        assert isinstance(excinfo.value, ReproError)
+        assert excinfo.value.what == "duration"
+        with pytest.raises(SimulatedClockError):
+            check_total(bad)
+    # The largest float64 below the limit is already on the grid.
+    assert quantize(CLOCK_LIMIT - 2.0**-30) == CLOCK_LIMIT - 2.0**-30
+    assert check_total(CLOCK_LIMIT - 1.0) == CLOCK_LIMIT - 1.0
+
+    # A chain whose running total would reach the limit fails loudly
+    # instead of folding an inexact sum.
+    dfs = InMemoryDFS(split_size_bytes=32)
+    f = write_lines(dfs, ["a b", "a c"])
+    driver = JobChainDriver(MapReduceRuntime(dfs, cluster=ClusterConfig(nodes=2)))
+    driver.totals.simulated_seconds = CLOCK_LIMIT - 1.0
+    with pytest.raises(SimulatedClockError) as excinfo:
+        driver.run(wordcount_job(), f)
+    assert excinfo.value.what == "total"
+
+
 # -- DFS block faults surfacing through jobs ----------------------------
 
 

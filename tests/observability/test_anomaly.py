@@ -2,6 +2,8 @@
 rule, the live watchdog's re-entrant journal emission, and the exact
 replay reconciliation contract (``repro anomalies --check``)."""
 
+import io
+
 import pytest
 
 from repro.common.errors import ConfigurationError
@@ -35,7 +37,7 @@ from repro.observability.journal import (
     Journal,
 )
 from repro.observability.live import LiveRunState, TelemetrySink
-from repro.observability.slo import SLORule, parse_slo_rules
+from repro.observability.slo import SLORule, SLOWatchdog, parse_slo_rules
 
 MIB = 1024 * 1024
 
@@ -298,10 +300,13 @@ def test_live_state_counts_anomalies_and_serves_them():
         emit_job(journal, "KMeans-i1", map_seconds=(1.0, 1.0, 1.0, 9.0))
     state = sink.state
     assert state.anomaly_counts == {STRAGGLER_ONSET: 1}
-    assert state.snapshot()["anomaly_counts"] == {STRAGGLER_ONSET: 1}
-    gauges = state.live_gauges()
-    assert gauges["live_anomalies"] == 1.0
-    assert gauges[f"live_anomalies_{STRAGGLER_ONSET}"] == 1.0
+    # The count is what an ``on_anomaly`` SLO rule reads off the state.
+    watchdog = SLOWatchdog(
+        parse_slo_rules(f"on_anomaly={STRAGGLER_ONSET}"), stream=io.StringIO()
+    )
+    watchdog.observe(state)
+    assert watchdog.abort_requested is not None
+    assert watchdog.abort_requested.observed == 1.0
 
 
 def test_anomaly_watchdog_for_reads_the_armed_sink():

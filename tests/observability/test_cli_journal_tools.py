@@ -324,3 +324,75 @@ def test_tune_verb_is_gone():
     with pytest.raises(SystemExit) as excinfo:
         main(["tune"])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--live", "list"],
+        ["--metrics" "-port", "1", "list"],
+        ["trace", "run.jsonl", "--metrics"],
+    ],
+    ids=["live", "metrics_port", "trace_metrics"],
+)
+def test_serving_telemetry_flags_are_gone(argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+
+
+def record_profiled_journal(path, profile_tasks) -> str:
+    """A reducer-side run whose first TestClusters job is memory-sampled.
+
+    Memory peaks are sampled on jobs 1, 2, 4, 8, ... of a runtime. Three
+    k-means jobs per iteration put ``TestClusters-i1`` at job 4 and
+    ``TestClusters-i2`` at job 8.
+    """
+    journal = Journal(FileJournalSink(str(path)))
+    mixture = generate_gaussian_mixture(
+        n_points=600, n_clusters=3, dimensions=2, rng=7
+    )
+    world = build_world(
+        mixture,
+        nodes=2,
+        target_splits=6,
+        seed=7,
+        journal=journal,
+        profile_tasks=profile_tasks,
+    )
+    config = MRGMeansConfig(seed=7, strategy="reducer", kmeans_iterations=3)
+    MRGMeans(world.runtime, config).fit(world.dataset)
+    journal.close()
+    return str(path)
+
+
+def test_analyze_reports_task_profile_and_figure2_memory_audit(tmp_path, capsys):
+    profiled = record_profiled_journal(tmp_path / "profiled.jsonl", True)
+    plain = record_profiled_journal(tmp_path / "plain.jsonl", False)
+
+    assert main(["analyze", profiled, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert {stats["phase"] for stats in report["profile"]} == {"map", "reduce"}
+    audit = report["memory_audit"]
+    assert [entry["job"] for entry in audit] == [
+        "TestClusters-i1",
+        "TestClusters-i2",
+    ]
+    for entry in audit:
+        assert entry["modeled_heap_bytes"] > 0
+        assert entry["measured_peak_bytes"] > 0
+        assert entry["ratio"] == pytest.approx(
+            entry["measured_peak_bytes"] / entry["modeled_heap_bytes"]
+        )
+    assert main(["analyze", profiled]) == 0
+    text = capsys.readouterr().out
+    assert "== real-resource profiling" in text
+    assert "measured reducer memory vs Figure-2 64B/point model" in text
+
+    assert main(["analyze", plain, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["profile"] == [] and report["memory_audit"] == []
+    assert main(["analyze", plain]) == 0
+    text = capsys.readouterr().out
+    assert "real-resource profiling" not in text
+    assert "Figure-2 64B/point model" not in text

@@ -1,12 +1,7 @@
-"""Metrics registry boundary snapshots and Prometheus rendering."""
+"""Metrics registry boundary snapshots."""
 
 from repro.mapreduce.counters import Counters
-from repro.observability.metrics import (
-    MetricsRegistry,
-    escape_label_value,
-    metric_name,
-    render_prometheus,
-)
+from repro.observability.metrics import MetricsRegistry
 
 
 def test_mark_returns_delta_and_advances():
@@ -39,112 +34,3 @@ def test_max_counters_survive_marks_as_high_water():
     assert registry.mark().as_dict() == {}
     counters.set_max("g", "HEAP_MAX", 50)
     assert registry.mark().get("g", "HEAP_MAX") == 50
-
-
-def test_metric_name_is_lowercase_prefixed():
-    assert metric_name("framework", "MAP_TASKS") == "repro_framework_map_tasks"
-
-
-def test_render_prometheus_types_and_sorting():
-    counters = Counters()
-    counters.inc("framework", "MAP_TASKS", 7)
-    counters.set_max("user", "POINTS_PER_CLUSTER_MAX", 99)
-    text = render_prometheus(counters, extra={"simulated_seconds_total": 1.5})
-    lines = text.splitlines()
-    assert "# TYPE repro_framework_map_tasks counter" in lines
-    assert "repro_framework_map_tasks 7" in lines
-    assert "# TYPE repro_user_points_per_cluster_max gauge" in lines
-    assert "repro_user_points_per_cluster_max 99" in lines
-    assert "# TYPE repro_simulated_seconds_total gauge" in lines
-    assert "repro_simulated_seconds_total 1.5" in lines
-
-
-def test_render_prometheus_deterministic():
-    a, b = Counters(), Counters()
-    a.inc("g", "x", 1)
-    a.inc("g", "y", 2)
-    b.inc("g", "y", 2)
-    b.inc("g", "x", 1)
-    assert render_prometheus(a) == render_prometheus(b)
-
-
-def test_render_prometheus_emits_help_lines():
-    counters = Counters()
-    counters.inc("framework", "MAP_TASKS", 7)
-    lines = render_prometheus(counters, extra={"live_k": 4.0}).splitlines()
-    help_lines = [line for line in lines if line.startswith("# HELP")]
-    assert any("repro_framework_map_tasks" in line for line in help_lines)
-    assert any("repro_live_k" in line for line in help_lines)
-    # One HELP immediately before each TYPE, exposition-format style.
-    for index, line in enumerate(lines):
-        if line.startswith("# TYPE"):
-            assert lines[index - 1].startswith("# HELP")
-
-
-def test_escape_label_value():
-    assert escape_label_value('a"b\\c\nd') == 'a\\"b\\\\c\\nd'
-
-
-def test_render_prometheus_labels_are_escaped():
-    counters = Counters()
-    counters.inc("g", "n", 1)
-    text = render_prometheus(counters, labels={"run": 'we"ird\\name'})
-    assert 'repro_g_n{run="we\\"ird\\\\name"} 1' in text.splitlines()
-
-
-def test_render_prometheus_renames_colliding_extra_gauge():
-    counters = Counters()
-    counters.inc("live", "k", 5)  # renders as repro_live_k (counter)
-    lines = render_prometheus(counters, extra={"live_k": 9.0}).splitlines()
-    assert "repro_live_k 5" in lines
-    assert "repro_live_k_extra 9.0" in lines
-    # The same metric name must never be declared with two types.
-    type_names = [line.split()[2] for line in lines if line.startswith("# TYPE")]
-    assert len(type_names) == len(set(type_names))
-
-
-def test_render_prometheus_dedupes_extras_case_insensitively():
-    """Gauge names derived from event attrs can differ only by case;
-    lowercasing must not silently emit one metric twice."""
-    counters = Counters()
-    lines = render_prometheus(
-        counters, extra={"live_K": 1.0, "live_k": 2.0}
-    ).splitlines()
-    sample_names = [
-        line.split()[0] for line in lines if not line.startswith("#")
-    ]
-    assert len(sample_names) == len(set(sample_names)) == 2
-    assert "repro_live_k" in sample_names
-    assert "repro_live_k_extra" in sample_names
-
-
-def test_render_prometheus_dedupes_counters_case_insensitively():
-    """Two counter keys differing only by case lowercase to the same
-    metric name; the second must be renamed, not emitted as duplicate
-    HELP/TYPE/sample lines scrapers reject."""
-    counters = Counters()
-    counters.inc("live", "K", 1)
-    counters.inc("live", "k", 2)
-    lines = render_prometheus(counters).splitlines()
-    sample_names = [
-        line.split()[0] for line in lines if not line.startswith("#")
-    ]
-    assert len(sample_names) == len(set(sample_names)) == 2
-    assert "repro_live_k" in sample_names
-    assert "repro_live_k_extra" in sample_names
-    type_names = [line.split()[2] for line in lines if line.startswith("# TYPE")]
-    assert len(type_names) == len(set(type_names))
-
-
-def test_render_prometheus_chained_collisions_stay_unique():
-    counters = Counters()
-    counters.inc("live", "k", 5)
-    lines = render_prometheus(
-        counters, extra={"live_k": 1.0, "live_K_extra": 2.0}
-    ).splitlines()
-    sample_names = [
-        line.split()[0] for line in lines if not line.startswith("#")
-    ]
-    assert len(sample_names) == len(set(sample_names)) == 3
-    type_names = [line.split()[2] for line in lines if line.startswith("# TYPE")]
-    assert len(type_names) == len(set(type_names))

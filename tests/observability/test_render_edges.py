@@ -11,7 +11,6 @@ from repro.observability.journal import InMemoryJournalSink, Journal
 from repro.observability.render import (
     render_iteration_table,
     render_job_gantts,
-    render_metrics,
     render_timeline,
     render_trace,
 )
@@ -23,7 +22,7 @@ def test_empty_journal_every_view():
     assert render_timeline(replay) == "(empty journal)"
     assert render_iteration_table(replay) == "(no iterations recorded)"
     assert render_job_gantts(replay) == "(no jobs recorded)"
-    text = render_trace(replay, gantt=True, metrics=True)
+    text = render_trace(replay, gantt=True)
     assert "(empty journal)" in text
     assert "(no jobs recorded)" in text
 
@@ -50,9 +49,8 @@ def test_restore_only_journal_renders_and_accounts():
     assert "(empty journal)" not in timeline
     assert render_iteration_table(replay) == "(no iterations recorded)"
     assert render_job_gantts(replay) == "(no jobs recorded)"
-    # The restored baseline still flows into the metrics totals.
-    metrics = render_metrics(replay)
-    assert "repro_framework_map_tasks 18" in metrics
+    # The restored baseline still flows into the run totals.
+    assert replay.total_counters().get("framework", "MAP_TASKS") == 18
     assert replay.total_simulated_seconds() == 42.0
 
 

@@ -265,14 +265,10 @@ def test_render_job_gantts_rebuilds_schedules():
 
 
 def test_render_trace_assembles_sections():
-    text = render_trace(
-        replay_records(recorded_run()), gantt=True, metrics=True
-    )
+    text = render_trace(replay_records(recorded_run()), gantt=True)
     assert "== run timeline" in text
     assert "== per-iteration counters" in text
     assert "== job gantts" in text
-    assert "== metrics" in text
-    assert "repro_framework_map_tasks 4" in text
 
 
 def test_empty_journal_renders_gracefully():
